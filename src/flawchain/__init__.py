@@ -10,7 +10,7 @@ probability-stratified process trees.
 
 __version__ = "0.1.0"
 
-from .core import (Distribution, ExplicitInstance, ImplicitInstance,
+from .core import (Distribution, ExplicitInstance, ImplicitInstance, Kernel,
                    ModelError, ModelWarning, addressed_flaw, arc_bound,
                    binary_entropy, instance_violations, mixed_row,
                    present_flaws, require_explicit, shannon_entropy,

@@ -11,10 +11,12 @@ self-inclusion and q vanishes.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .core import (ModelError, binary_entropy, mixed_row, require_explicit)
+import numpy as np
+
+from .core import (binary_entropy, mixed_flawed, require_explicit, row_sums)
 
 PRINCIPAL = "principal"
 NOISE = "noise"
@@ -24,7 +26,7 @@ LabeledArc = namedtuple("LabeledArc", "source target label")
 Congestion = namedtuple("Congestion", "count bits unreached")
 
 
-def _kernel_rows(instance, which):
+def _kernel(instance, which):
     if which == PRINCIPAL:
         return instance.principal
     if which == NOISE:
@@ -32,22 +34,25 @@ def _kernel_rows(instance, which):
     raise ValueError(f"unknown kernel {which!r}")
 
 
+def _arcs(instance, which):
+    """(source, target, label) arrays of the arcs `labeled_arcs` lists."""
+    kernel = _kernel(instance, which)
+    if which == NOISE and instance.p == 0.0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    sources = kernel.sources
+    live = instance.labels[sources] >= 0
+    sources = sources[live]
+    return sources, kernel.indices[live], instance.labels[sources]
+
+
 def labeled_arcs(instance, which: str) -> list:
     """Arcs of the chosen kernel leaving flawed states, labeled by the
     addressed flaw.  Flawless states contribute nothing, and the noise
     kernel contributes nothing at p = 0 (it is never followed)."""
     require_explicit(instance, "labeled_arcs")
-    rows = _kernel_rows(instance, which)
-    if which == NOISE and instance.p == 0.0:
-        return []
-    arcs = []
-    for s in instance.states():
-        label = instance.addressed(s)
-        if label is None:
-            continue
-        for t, _ in rows[s].support:
-            arcs.append(LabeledArc(s, t, label))
-    return arcs
+    return [LabeledArc(*arc) for arc in
+            zip(*(a.tolist() for a in _arcs(instance, which)))]
 
 
 @dataclass(frozen=True)
@@ -79,19 +84,35 @@ class CausalityGraph:
 def causality_graph(instance, which: str) -> CausalityGraph:
     require_explicit(instance, "causality_graph")
     m = instance.m
-    succ = [set() for _ in range(m)]
-    for source, target, label in labeled_arcs(instance, which):
-        source_flaws = instance.present(source)
-        for j in instance.present(target):
-            if j not in source_flaws:
-                succ[label].add(j)
-    return CausalityGraph(which=which, m=m,
-                          edges=tuple(frozenset(s) for s in succ))
+    sources, targets, labels = _arcs(instance, which)
+    member = instance.member
+    arc, flaw = np.nonzero(member[targets] & ~member[sources])
+    edges = np.zeros((m, m), dtype=bool)
+    edges[labels[arc], flaw] = True
+    return CausalityGraph(which=which, m=m, edges=tuple(
+        frozenset(np.flatnonzero(row).tolist()) for row in edges))
 
 
 def neighborhood(graph: CausalityGraph, flaw: int) -> frozenset:
     """Out-neighborhood including the flaw itself."""
     return frozenset({flaw}) | graph.edges[flaw]
+
+
+def _potentials(instance) -> list:
+    """Least mixed-row entropy per flaw over the states addressing it.
+
+    Each row's entropy adds its entries' -pr * log2(pr) in target order
+    with the builtin's own summation, as `Distribution.entropy` does, so
+    the values equal the row-by-row computation bit for bit.
+    """
+    states, indptr, _, probs = mixed_flawed(instance)
+    values, inverse = np.unique(probs, return_inverse=True)
+    terms = np.array([pr * math.log2(pr) if pr > 0.0 else 0.0
+                      for pr in values.tolist()])
+    entropy = -row_sums(terms[inverse], indptr)
+    best = np.full(instance.m, math.inf)
+    np.minimum.at(best, instance.labels[states], entropy)
+    return best.tolist()
 
 
 def potential(instance, flaw: int) -> float:
@@ -101,11 +122,7 @@ def potential(instance, flaw: int) -> float:
     unaddressed flaw vanish, matching the empty-min convention.
     """
     require_explicit(instance, "potential")
-    best = math.inf
-    for s in instance.states():
-        if instance.addressed(s) == flaw:
-            best = min(best, mixed_row(instance, s).entropy())
-    return best
+    return _potentials(instance)[flaw]
 
 
 def congestion(instance, flaw: int, which: str, addressed_only: bool = False) -> Congestion:
@@ -118,15 +135,16 @@ def congestion(instance, flaw: int, which: str, addressed_only: bool = False) ->
     (empty flaw, or noise at p = 0) reports 0 bits with `unreached` set.
     """
     require_explicit(instance, "congestion")
-    rows = _kernel_rows(instance, which)
-    counts = Counter()
+    kernel = _kernel(instance, which)
+    peak = 0
     if not (which == NOISE and instance.p == 0.0):
-        for s in sorted(instance.flaws[flaw]):
-            if addressed_only and instance.addressed(s) != flaw:
-                continue
-            for t, _ in rows[s].support:
-                counts[t] += 1
-    peak = max(counts.values(), default=0)
+        inside = instance.member[:, flaw]
+        if addressed_only:
+            inside = inside & (instance.labels == flaw)
+        # rows hold distinct targets, so a target's count is its fan-in
+        targets = kernel.indices[inside[kernel.sources]]
+        if len(targets):
+            peak = int(np.bincount(targets).max())
     if peak == 0:
         return Congestion(0, 0.0, True)
     return Congestion(peak, math.log2(peak), False)
@@ -174,13 +192,7 @@ def flaw_profiles(instance, addressed_only: bool = False) -> list:
     """
     require_explicit(instance, "flaw_profiles")
     m = instance.m
-    entropy_best = [math.inf] * m
-    for s in instance.states():
-        flaw = instance.addressed(s)
-        if flaw is not None:
-            e = mixed_row(instance, s).entropy()
-            if e < entropy_best[flaw]:
-                entropy_best[flaw] = e
+    entropy_best = _potentials(instance)
 
     graph_pr = causality_graph(instance, PRINCIPAL)
     graph_ns = causality_graph(instance, NOISE)

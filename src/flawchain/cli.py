@@ -24,7 +24,7 @@ from .analyzer import (causality_graph, flaw_profiles, global_noise_bits,
                        global_principal_bits)
 from .certifier import certify, inequality_audit
 from .core import ModelError
-from .exact import CapExceeded, DEFAULT_TREE_CAP, bad_mass, prefix_entropy, \
+from .exact import CapExceeded, bad_mass, prefix_entropy, tree_cap, \
     truncated_tree, verify_stratification
 from .forensics import (ForensicsError, break_sets, decode, encode,
                         encoded_length, reconstruct_witness, witness)
@@ -267,6 +267,8 @@ def _cmd_forensics(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    if args.cap is None:
+        args.cap = tree_cap()
     inst = fileio.load(args.instance)
     try:
         tree = truncated_tree(inst, args.x, cap=args.cap)
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     tree = sub.add_parser("tree", help="exact stratum-truncated process tree")
     tree.add_argument("instance")
     tree.add_argument("--x", type=float, required=True)
-    tree.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP)
+    tree.add_argument("--cap", type=int, default=None,
+                      help="leaf cap (default FLAWCHAIN_TREE_CAP or 10^7)")
     tree.add_argument("--no-leaves", action="store_true", dest="no_leaves")
     tree.add_argument("--out", default=None)
     tree.set_defaults(func=_cmd_tree)

@@ -18,12 +18,16 @@ All probabilities accumulate in log2 space.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-from .core import Distribution, arc_bound, mixed_row, require_explicit
+from .core import Distribution, arc_bound, env_cap, mixed_row, require_explicit
 
-DEFAULT_TREE_CAP = int(os.environ.get("FLAWCHAIN_TREE_CAP", 10_000_000))
+DEFAULT_TREE_CAP = 10_000_000
+
+
+def tree_cap() -> int:
+    """Default leaf cap: FLAWCHAIN_TREE_CAP, read when a tree is built."""
+    return env_cap("FLAWCHAIN_TREE_CAP", DEFAULT_TREE_CAP)
 
 
 class CapExceeded(RuntimeError):
@@ -69,14 +73,16 @@ class TruncatedTree:
         return sum(leaf.prob for leaf in self.leaves)
 
 
-def truncated_tree(instance, x: float, cap: int = DEFAULT_TREE_CAP) -> TruncatedTree:
+def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
     """Depth-first stratum truncation from the fixed initial state.
 
     Children are expanded in ascending state order, so leaves come out
     in lexicographic prefix order.  Raises CapExceeded past `cap`
-    leaves; x = 0 degenerates to the root alone.
+    leaves (default `tree_cap()`); x = 0 degenerates to the root alone.
     """
     require_explicit(instance, "truncated_tree")
+    if cap is None:
+        cap = tree_cap()
     if isinstance(instance.initial, Distribution):
         raise ValueError("tree enumeration needs a fixed initial state")
     if x < 0:
@@ -127,7 +133,7 @@ SANDWICH_TOL = 1e-9
 
 
 def verify_stratification(instance, xs, certificate=None,
-                          cap: int = DEFAULT_TREE_CAP) -> list:
+                          cap: int | None = None) -> list:
     """Check the stratum invariants over a grid of x values.
 
     Per x the row records total mass, the per-leaf sandwich

@@ -2,26 +2,24 @@
 
 Generators build the explicit flavor whenever the state count fits the
 cap (FLAWCHAIN_EXPLICIT_CAP, default 2^16) and fall back to the implicit
-flavor otherwise.  Both flavors of one family share the same row
-construction code, so seeded trajectories agree state for state.
+flavor otherwise.  The explicit flavor builds every row at once with
+array code that reproduces the implicit flavor's per-state rows exactly,
+so seeded trajectories agree state for state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_EXPLICIT_CAP, Distribution, ExplicitInstance,
-                   ImplicitInstance, ModelError, ModelWarning,
-                   validate_instance)
-
-
-def explicit_cap() -> int:
-    return int(os.environ.get("FLAWCHAIN_EXPLICIT_CAP", DEFAULT_EXPLICIT_CAP))
+from .core import (Distribution, ExplicitInstance, ImplicitInstance, Kernel,
+                   ModelError, ModelWarning, _strides, addressed_labels,
+                   explicit_cap, validate_instance)
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,27 @@ class NoiseModel:
         return cls(kind="custom", rows=tuple(rows))
 
 
-def _noise_rows(instance: ExplicitInstance, model: NoiseModel):
+def _noise_kernel(instance: ExplicitInstance, model: NoiseModel):
     n = instance.n_states
     if model.kind == "selfloop":
-        return [((s, 1.0),) for s in range(n)]
+        return Kernel.point(np.arange(n))
     if model.kind == "point":
-        return [((model.target, 1.0),) for _ in range(n)]
+        if not 0 <= model.target < n:
+            raise ModelError(f"point noise target {model.target} outside 0..{n - 1}")
+        return Kernel.point(np.full(n, model.target))
     if model.kind == "uniform":
-        row = tuple((t, 1.0 / n) for t in range(n))
-        return [row for _ in range(n)]
+        return Kernel(np.arange(0, n * n + 1, n), np.tile(np.arange(n), n),
+                      np.full(n * n, 1.0 / n))
     if model.kind == "greedy":
-        rows = []
-        for s in range(n):
-            if model.candidates == "principal":
-                pool = sorted({s, *instance.principal[s].states()})
-            else:
-                pool = range(n)
-            best = max(pool, key=lambda t: (len(instance.present(t)), -t))
-            rows.append(((best, 1.0),))
-        return rows
+        # most present flaws first, then the lowest state index
+        weight = instance.member.sum(axis=1)
+        if model.candidates != "principal":
+            return Kernel.point(np.full(n, int(np.argmax(weight))))
+        sources = np.concatenate((instance.principal.sources, np.arange(n)))
+        pool = np.concatenate((instance.principal.indices, np.arange(n)))
+        order = np.lexsort((pool, -weight[pool], sources))
+        firsts = np.flatnonzero(np.r_[True, sources[order][1:] != sources[order][:-1]])
+        return Kernel.point(pool[order][firsts])
     if model.kind == "custom":
         return [tuple(pairs) for pairs in model.rows]
     raise ModelError(f"unknown noise model {model.kind!r}")
@@ -91,10 +91,10 @@ def attach_noise(instance, model: NoiseModel, p: float):
     if isinstance(instance, ExplicitInstance):
         return validate_instance(
             n_states=instance.n_states,
-            flaws=instance.flaws,
+            flaws=instance.member,
             priority=instance.priority,
-            principal=[row.support for row in instance.principal],
-            noise=_noise_rows(instance, model),
+            principal=instance.principal,
+            noise=_noise_kernel(instance, model),
             p=p,
             initial=instance.initial,
             flaw_names=instance.flaw_names,
@@ -147,18 +147,41 @@ def _resample_row(values, var_indices, widths, strides):
     return Distribution(tuple(sorted(support)))
 
 
+def _resample_kernel(columns, labels, flaw_vars, widths, strides):
+    """Principal kernel of every state at once: `_resample_row` of the
+    addressed flaw's variables, unit self-loops at flawless states."""
+    n = len(labels)
+    offsets, lengths = [], np.ones(n, dtype=np.int64)
+    for f, var_indices in enumerate(flaw_vars):
+        grid = np.zeros(1, dtype=np.int64)
+        for i in var_indices:
+            grid = np.add.outer(grid, np.arange(widths[i]) * strides[i]).ravel()
+        offsets.append(np.sort(grid))
+        lengths[labels == f] = len(grid)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    targets = np.empty(indptr[-1], dtype=np.int64)
+    probs = np.empty(indptr[-1])
+    flawless = np.flatnonzero(labels < 0)
+    targets[indptr[flawless]] = flawless
+    probs[indptr[flawless]] = 1.0
+    for f, var_indices in enumerate(flaw_vars):
+        states = np.flatnonzero(labels == f)
+        base = states - sum(columns[i][states] * strides[i] for i in var_indices)
+        pos = indptr[states][:, None] + np.arange(len(offsets[f]))
+        targets[pos] = base[:, None] + offsets[f]
+        probs[pos] = 1.0 / len(offsets[f])
+    return Kernel(indptr, targets, probs)
+
+
 def _assignment_instance(widths, flaw_vars, flaw_predicates, flaw_names,
                          initial_values, explicit, cap):
     """Shared builder: flaws over variable assignments, principal kernel
-    resampling the addressed flaw's variables uniformly."""
+    resampling the addressed flaw's variables uniformly.  The predicates
+    take one assignment, or the value columns of every state at once."""
     widths = tuple(widths)
     n = math.prod(widths)
-    strides = []
-    acc = 1
-    for w in reversed(widths):
-        strides.append(acc)
-        acc *= w
-    strides = tuple(reversed(strides))
+    strides = _strides(widths)
 
     def principal_fn(state, values, flaw):
         return _resample_row(values, flaw_vars[flaw], widths, strides)
@@ -178,17 +201,18 @@ def _assignment_instance(widths, flaw_vars, flaw_predicates, flaw_names,
             raise ModelError(f"{n} states exceed the explicit cap {cap}")
         return implicit
 
-    flaws = []
-    for pred in flaw_predicates:
-        flaws.append({s for s in range(n) if pred(implicit.decode(s))})
-    principal = []
-    for s in range(n):
-        principal.append(implicit.principal_row(s).support)
-    noise = [((s, 1.0),) for s in range(n)]
+    states = np.arange(n)
+    columns = [(states // stride) % width for stride, width in zip(strides, widths)]
+    member = np.zeros((n, len(flaw_predicates)), dtype=bool)
+    for i, pred in enumerate(flaw_predicates):
+        member[:, i] = pred(columns)
+    priority = range(len(flaw_predicates))
+    principal = _resample_kernel(columns, addressed_labels(member, priority),
+                                 flaw_vars, widths, strides)
     return validate_instance(
-        n_states=n, flaws=flaws, priority=range(len(flaws)),
-        principal=principal, noise=noise, p=0.0, initial=implicit.initial,
-        flaw_names=flaw_names, widths=widths)
+        n_states=n, flaws=member, priority=priority,
+        principal=principal, noise=Kernel.point(states), p=0.0,
+        initial=implicit.initial, flaw_names=flaw_names, widths=widths)
 
 
 def gen_coloring(edges, q: int, explicit=None, cap=None):
@@ -238,8 +262,9 @@ def gen_ksat(n_vars: int, clauses, explicit=None, cap=None):
 
     def clause_pred(c):
         # violated when every literal is false (values are 0/1)
-        return lambda values: all(
-            values[abs(lit) - 1] == (0 if lit > 0 else 1) for lit in c)
+        falsifying = [(abs(lit) - 1, 0 if lit > 0 else 1) for lit in c]
+        return lambda values: functools.reduce(
+            operator.and_, (values[v] == bad for v, bad in falsifying))
 
     return _assignment_instance(
         widths=(2,) * n_vars,

@@ -1,6 +1,15 @@
+import os
+import pathlib
+
 import pytest
 
 from flawchain import NoiseModel, attach_noise, gen_coloring, gen_star
+
+# Child interpreters started by the tests (demos, the module entry point)
+# import the package from this checkout as well.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # The four instances every module's tests keep coming back to.  Session
 # scope: they are immutable and cheap to share.

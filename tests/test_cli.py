@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -309,3 +310,41 @@ def test_module_entry_point(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["manifest"]["tool"] == "flawchain"
     assert load(out).n_states == 5
+
+
+# ------------------------------------------------------ environment knobs
+
+
+def test_bad_tree_cap_fails_only_the_tree(noisy_file, capsys, monkeypatch):
+    monkeypatch.setenv("FLAWCHAIN_TREE_CAP", "abc")
+    rc, _, err = cli(capsys, "audit", "--delta-max", "2", "--noise-bits-max", "1")
+    assert rc == 0 and err == ""
+    rc, _, err = cli(capsys, "tree", noisy_file, "--x", "2")
+    assert rc == 2
+    assert err == "flawchain tree: FLAWCHAIN_TREE_CAP must be a positive integer, got 'abc'\n"
+    rc, _, _ = cli(capsys, "tree", noisy_file, "--x", "2", "--cap", "100")
+    assert rc == 0
+    monkeypatch.setenv("FLAWCHAIN_TREE_CAP", "3")
+    rc, _, err = cli(capsys, "tree", noisy_file, "--x", "6")
+    assert rc == 2 and "leaf cap 3 exceeded" in err
+
+
+def test_bad_explicit_cap_names_the_variable(noisy_file, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setenv("FLAWCHAIN_EXPLICIT_CAP", "lots")
+    want = "FLAWCHAIN_EXPLICIT_CAP must be a positive integer, got 'lots'\n"
+    rc, _, err = cli(capsys, "analyze", noisy_file)
+    assert (rc, err) == (2, "flawchain analyze: " + want)
+    rc, _, err = cli(capsys, "gen", "coloring", "--edges", "0-1", "--q", "3",
+                     "--out", str(tmp_path / "c.json"))
+    assert (rc, err) == (2, "flawchain gen: " + want)
+
+
+def test_bad_knobs_do_not_break_import(tmp_path):
+    env = {**os.environ, "FLAWCHAIN_TREE_CAP": "abc", "FLAWCHAIN_EXPLICIT_CAP": "x"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flawchain", "audit", "--delta-max", "2",
+         "--noise-bits-max", "1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
