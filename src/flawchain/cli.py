@@ -23,9 +23,8 @@ from . import fileio
 from .analyzer import (causality_graph, flaw_profiles, global_noise_bits,
                        global_principal_bits)
 from .certifier import certify, inequality_audit
-from .core import ModelError
-from .exact import CapExceeded, bad_mass, prefix_entropy, tree_cap, \
-    truncated_tree, verify_stratification
+from .core import ModelError, arc_bound
+from .exact import CapExceeded, stratification_row, tree_cap, truncated_tree
 from .forensics import (ForensicsError, break_sets, decode, encode,
                         encoded_length, reconstruct_witness, witness)
 from .instances import (NoiseModel, attach_noise, gen_coloring, gen_ksat,
@@ -275,14 +274,14 @@ def _cmd_tree(args) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"flawchain tree: {exc}\n")
         return 2
-    checks = verify_stratification(inst, [args.x], cap=args.cap)[0]
+    checks = stratification_row(inst, tree, arc_bound(inst))
     doc = {
         "manifest": _manifest("tree", args, inst),
         "x": tree.x,
         "n_leaves": tree.n_leaves,
-        "mass": tree.mass(),
-        "bad_mass": bad_mass(tree),
-        "prefix_entropy": prefix_entropy(tree),
+        "mass": checks["mass"],
+        "bad_mass": checks["bad_mass"],
+        "prefix_entropy": checks["prefix_entropy"],
         "checks": checks,
     }
     if not args.no_leaves:

@@ -136,12 +136,8 @@ def verify_stratification(instance, xs, certificate=None,
                           cap: int | None = None) -> list:
     """Check the stratum invariants over a grid of x values.
 
-    Per x the row records total mass, the per-leaf sandwich
-    2^-(x+B) < prob <= 2^-x (stratum leaves; absorbed leaves instead
-    must sit flawless above the stratum), the entropy floor
-    H >= x * bad_mass, and, given a certificate, the ceiling
-    H <= lam * x + m0.  Values of x whose tree exceeds the cap are
-    reported as skipped rather than failing.
+    One `stratification_row` per x.  Values of x whose tree exceeds the
+    cap are reported as skipped rather than failing.
     """
     require_explicit(instance, "verify_stratification")
     B = arc_bound(instance)
@@ -152,33 +148,48 @@ def verify_stratification(instance, xs, certificate=None,
         except CapExceeded as exc:
             rows.append({"x": float(x), "skipped": True, "reason": str(exc)})
             continue
-        mass = tree.mass()
-        sandwich_ok = True
-        absorbed_ok = True
-        for leaf in tree.leaves:
-            if leaf.absorbed:
-                if leaf.log2_prob <= -x or not instance.is_flawless(leaf.prefix[-1]):
-                    absorbed_ok = False
-            else:
-                if not (-x - B - SANDWICH_TOL < leaf.log2_prob <= -x + SANDWICH_TOL):
-                    sandwich_ok = False
-        h = prefix_entropy(tree)
-        mass_bad = bad_mass(tree)
-        row = {
-            "x": float(x),
-            "skipped": False,
-            "n_leaves": tree.n_leaves,
-            "mass": mass,
-            "mass_ok": abs(mass - 1.0) <= MASS_TOL,
-            "sandwich_ok": sandwich_ok,
-            "absorbed_ok": absorbed_ok,
-            "bad_mass": mass_bad,
-            "prefix_entropy": h,
-            "entropy_floor_ok": h >= x * mass_bad - 1e-9,
-        }
-        if certificate is not None:
-            ceiling = certificate.lam * x + certificate.m0
-            row["entropy_ceiling"] = ceiling
-            row["entropy_ceiling_ok"] = h <= ceiling + 1e-9
-        rows.append(row)
+        rows.append(stratification_row(instance, tree, B, certificate))
     return rows
+
+
+def stratification_row(instance, tree: TruncatedTree, B: int,
+                       certificate=None) -> dict:
+    """The stratum invariants of one built tree, given the instance's
+    `arc_bound` B.
+
+    The row records total mass, the per-leaf sandwich
+    2^-(x+B) < prob <= 2^-x (stratum leaves; absorbed leaves instead
+    must sit flawless above the stratum), the entropy floor
+    H >= x * bad_mass, and, given a certificate, the ceiling
+    H <= lam * x + m0.
+    """
+    x = tree.x
+    mass = tree.mass()
+    sandwich_ok = True
+    absorbed_ok = True
+    for leaf in tree.leaves:
+        if leaf.absorbed:
+            if leaf.log2_prob <= -x or not instance.is_flawless(leaf.prefix[-1]):
+                absorbed_ok = False
+        else:
+            if not (-x - B - SANDWICH_TOL < leaf.log2_prob <= -x + SANDWICH_TOL):
+                sandwich_ok = False
+    h = prefix_entropy(tree)
+    mass_bad = bad_mass(tree)
+    row = {
+        "x": x,
+        "skipped": False,
+        "n_leaves": tree.n_leaves,
+        "mass": mass,
+        "mass_ok": abs(mass - 1.0) <= MASS_TOL,
+        "sandwich_ok": sandwich_ok,
+        "absorbed_ok": absorbed_ok,
+        "bad_mass": mass_bad,
+        "prefix_entropy": h,
+        "entropy_floor_ok": h >= x * mass_bad - 1e-9,
+    }
+    if certificate is not None:
+        ceiling = certificate.lam * x + certificate.m0
+        row["entropy_ceiling"] = ceiling
+        row["entropy_ceiling_ok"] = h <= ceiling + 1e-9
+    return row

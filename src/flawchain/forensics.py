@@ -134,28 +134,28 @@ def break_sets(trajectory) -> BreakSequence:
         carried = present[i - 1] - {w[i - 1]}
         raw.append(present[i] - carried)
 
-    def collateral(flaw, i):
-        # exists j in [i+1, z]: gone from present[j] and never addressed
-        # at any step in [i+1, j]
-        for j in range(i + 1, z + 1):
-            if flaw not in present[j]:
-                if all(w[l - 1] != flaw for l in range(i + 1, j + 1)):
-                    return True
-        return False
-
-    def neglected(flaw, i):
-        return (all(flaw in present[j] for j in range(i + 1, z + 1))
-                and all(w[l - 1] != flaw for l in range(i + 1, z + 1)))
-
-    coll = []
-    negl = []
-    star = []
-    for i in range(z):
-        o = frozenset(f for f in raw[i] if collateral(f, i))
-        n = frozenset(f for f in raw[i] if f not in o and neglected(f, i))
-        coll.append(o)
-        negl.append(n)
-        star.append(raw[i] - o - n)
+    # One backward sweep: before index i is decided, next_addressed[f]
+    # is the first step in [i+1, Z] addressing f and next_absent[f] the
+    # first prefix index in [i+1, Z] without f (never = none).  O_i takes
+    # the flaws that vanish before they are addressed, N_i those that
+    # neither vanish nor are addressed.
+    never = z + 1
+    next_addressed = [never] * inst.m
+    next_absent = [never] * inst.m
+    coll = [None] * z
+    negl = [None] * z
+    star = [None] * z
+    for i in range(z - 1, -1, -1):
+        next_addressed[w[i]] = i + 1
+        for f in range(inst.m):
+            if f not in present[i + 1]:
+                next_absent[f] = i + 1
+        o = frozenset(f for f in raw[i] if next_absent[f] < next_addressed[f])
+        n = frozenset(f for f in raw[i]
+                      if next_absent[f] == never and next_addressed[f] == never)
+        coll[i] = o
+        negl[i] = n
+        star[i] = raw[i] - o - n
     star.append(frozenset())  # index Z is vacuous
     lengths = tuple(len(s) for s in star)
     return BreakSequence(z=z, b_star=tuple(star), raw=tuple(raw),

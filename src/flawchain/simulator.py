@@ -7,6 +7,14 @@ isolation.  Within a step the draw order is fixed: first the mixture
 coin, then one uniform pushed through the inverse CDF of the chosen
 kernel row (support in ascending state order).  Instances sharing row
 construction therefore produce byte-identical trajectories.
+
+`monte_carlo` on explicit instances does not replay trials one by one:
+it derives every trial's Philox key in one vectorized pass and steps
+all live trials in lockstep on the stacked CSR kernels, drawing each
+trial's uniforms in blocks from its own stream; the last few live
+trials finish with scalar steps.  Every trial still consumes its stream
+in the order above, so trial i still replays exactly as
+`run(..., trial=i)`.
 """
 
 from __future__ import annotations
@@ -18,11 +26,79 @@ import numpy as np
 
 from .core import Distribution, ModelError
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4   # SeedSequence's default pool size in uint32 words
+
+BLOCK = 32   # uniforms drawn per trial and refill; Philox yields 4 per counter
+CHUNK = 8192  # trials stepped together, bounding the uniform blocks' memory
+FEW = 8       # live trials at which stepping them one by one is cheaper
+
 
 def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
     """The deterministic RNG stream of one trial."""
     ss = np.random.SeedSequence(seed, spawn_key=(trial,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's word hash: xor in a constant that advances by
+    `mult` on every call, multiply by it, fold the high half down."""
+    def hash_word(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_word
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def trial_keys(seed: int, trials) -> np.ndarray:
+    """The Philox keys of `trial_stream(seed, t)` for every t in `trials`.
+
+    A vectorized port of numpy's SeedSequence hash: row k equals
+    `SeedSequence(seed, spawn_key=(trials[k],)).generate_state(2,
+    np.uint64)`.  Trial indices below 2^64 are supported.  Invalid
+    seeds fail exactly as `trial_stream` fails.
+    """
+    entropy = int(np.random.SeedSequence(seed).entropy)
+    # the seed's uint32 words, least significant first; with a spawn key
+    # numpy zero-pads them to the pool size
+    # (1,) arrays broadcast against the per-trial words without the
+    # overflow warnings of numpy scalar arithmetic
+    words = np.array([entropy >> (32 * i) & _MASK32
+                      for i in range(max(_POOL, (entropy.bit_length() + 31) // 32))],
+                     dtype=np.uint32).reshape(-1, 1)
+    trials = np.asarray(trials, dtype=np.uint64)
+    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in [*words[_POOL:], low]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    wide = np.flatnonzero(high)   # trials >= 2^32 carry a second spawn word
+    if len(wide):
+        for dst in range(_POOL):
+            pool[dst][wide] = _mix(pool[dst][wide], hashmix(high[wide]))
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = [generate(word).astype(np.uint64) for word in pool]
+    keys = np.empty((len(trials), 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
 
 
 def step(instance, state: int, rng) -> tuple:
@@ -129,14 +205,161 @@ class HittingStats:
 
 
 def monte_carlo(instance, trials: int, seed: int, budget: int) -> HittingStats:
-    """Independent trials; trial i replays exactly as run(..., trial=i)."""
+    """Independent trials; trial i replays exactly as run(..., trial=i).
+
+    Explicit instances step all live trials in lockstep on the CSR
+    kernels, in chunks of CHUNK trials, until at most FEW are left; the
+    implicit flavor, whose rows come from callbacks, runs the trials one
+    by one.
+    """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    hits = []
-    for i in range(trials):
-        traj = run(instance, seed, budget, trial=i)
-        hits.append(traj.hit_step)
+    if budget < 1:
+        raise ValueError(f"max_steps must be positive, got {budget}")
+    if instance.explicit:
+        hits = []
+        for first in range(0, trials, CHUNK):
+            hits += _lockstep_hits(instance, seed, np.arange(
+                first, min(trials, first + CHUNK)), budget)
+    else:
+        hits = [run(instance, seed, budget, trial=i).hit_step
+                for i in range(trials)]
     return HittingStats(trials=trials, seed=seed, budget=budget, hits=tuple(hits))
+
+
+def running_sums(values, indptr):
+    """Per-row running sums of a CSR value array, each row accumulated
+    left to right from 0.0 exactly as `Distribution.sample` does."""
+    out = np.array(values, dtype=np.float64)
+    lengths = np.diff(indptr)
+    rows = np.flatnonzero(lengths > 1)
+    k = 1
+    while len(rows):
+        at = indptr[rows] + k
+        out[at] += out[at - 1]
+        k += 1
+        rows = rows[lengths[rows] > k]
+    return out
+
+
+def _stacked_rows(instance):
+    """Principal rows 0..n-1, noise rows n..2n-1 and, for a distribution
+    over initial states, that distribution as row 2n, in one CSR of
+    (indptr, targets, running sums).  Memoized on the instance."""
+    rows = instance.memo.get("simulator.rows")
+    if rows is None:
+        kernels = (instance.principal, instance.noise)
+        lengths = [k.lengths for k in kernels]
+        targets = [k.indices for k in kernels]
+        probs = [k.probs for k in kernels]
+        if isinstance(instance.initial, Distribution):
+            lengths.append([len(instance.initial)])
+            targets.append(instance.initial.states())
+            probs.append(instance.initial.probs())
+        lengths = np.concatenate(lengths)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        rows = instance.memo["simulator.rows"] = (
+            indptr, np.concatenate(targets).astype(np.int64),
+            running_sums(np.concatenate(probs), indptr))
+    return rows
+
+
+def _sample_rows(indptr, targets, sums, rows, u):
+    """Vectorized `Distribution.sample`: in each row, the first entry
+    with u < running sum, or the row's last entry when there is none."""
+    lo = indptr[rows]
+    hi = indptr[rows + 1] - 1
+    if len(rows):
+        # a fixed number of halvings; a settled search (lo == hi) stays put
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            left = u < sums[mid]
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, np.minimum(mid + 1, hi))
+    return targets[lo]
+
+
+def _lockstep_hits(instance, seed, trials, budget) -> list:
+    """Hit steps of the trials numbered in `trials`, stepped together.
+
+    Every live trial sits at the same stream position: one uniform for a
+    random initial state, then two per step (coin, inverse CDF).  Each
+    trial's block of BLOCK uniforms is refilled from its own stream when
+    the next step would run past it.
+    """
+    indptr, targets, sums = _stacked_rows(instance)
+    n, p, labels = instance.n_states, instance.p, instance.labels
+    keys = trial_keys(seed, trials).tolist()
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    stream = bitgen.state
+    stream["buffer_pos"] = 4
+    philox = stream["state"] = {"counter": [0, 0, 0, 0], "key": None}
+
+    def seek(j, k):
+        # Philox counter k/4 with an empty buffer: the next draws are
+        # uniforms k.. of trial j's stream, bit for bit (k a multiple of 4)
+        philox["counter"][0] = k // 4
+        philox["key"] = keys[j]
+        bitgen.state = stream
+
+    def draw(ids, k):
+        out = np.empty((len(ids), BLOCK))
+        for row, j in zip(out, ids.tolist()):
+            seek(j, k)
+            gen.random(out=row)
+        return out
+
+    count = len(trials)
+    hits = np.full(count, -1, dtype=np.int64)
+    ids = np.arange(count)     # live trials, as positions in `trials`
+    uniforms, base, pos = draw(ids, 0), 0, 0
+    slot = np.arange(count)    # each live trial's row in `uniforms`
+    if isinstance(instance.initial, Distribution):
+        state = _sample_rows(indptr, targets, sums,
+                             np.full(count, 2 * n), uniforms[:, 0])
+        pos = 1
+    else:
+        state = np.full(count, instance.initial, dtype=np.int64)
+    for i in range(budget + 1):
+        done = labels[state] < 0
+        if done.any():
+            hits[ids[done]] = i
+            live = ~done
+            ids, state, slot = ids[live], state[live], slot[live]
+            if not len(ids):
+                break
+        if i == budget:
+            break
+        if len(ids) <= FEW:
+            # a few long runs left: a numpy pass per step costs more than
+            # scalar steps on each trial's own stream
+            for j, s in zip(ids.tolist(), state.tolist()):
+                seek(j, pos - pos % 4)
+                gen.random(pos % 4)
+                hits[j] = _finish(instance, s, gen, i, budget)
+            break
+        if pos + 2 > base + BLOCK:
+            base = pos - pos % 4
+            uniforms = draw(ids, base)
+            slot = np.arange(len(ids))
+        coin = uniforms[slot, pos - base]
+        u = uniforms[slot, pos + 1 - base]
+        rows = state + n * (coin < p)
+        state = _sample_rows(indptr, targets, sums, rows, u)
+        pos += 2
+    return [None if h < 0 else h for h in hits.tolist()]
+
+
+def _finish(instance, state, rng, i, budget) -> int:
+    """Continue a flawed trial from step i as `run` would: its hit step,
+    or -1 when the budget runs out first."""
+    for k in range(i, budget):
+        state, _ = step(instance, state, rng)
+        if instance.is_flawless(state):
+            return k + 1
+    return -1
 
 
 def tail_check(stats: HittingStats, certificate, s_values=(1.0, 2.0, 3.0)) -> dict:

@@ -119,6 +119,12 @@ def brute_analysis(instance, addressed_only=False):
         gamma_ns = brute_gamma(edges_ns, i)
         delta = len(gamma_ns)
         b_pr = math.log2(cong_pr[i]) if cong_pr[i] > 0 else 0.0
+        if p == 0.0:
+            q = 0.0
+        elif p == 1.0:      # a pure-noise chain charges infinity
+            q = math.inf
+        else:
+            q = p * (delta * (b_ns_global + 2.5 + h) - 2.0 - h)
         out.append({
             "potential": pots[i],
             "gamma_pr": brute_gamma(edges_pr, i),
@@ -128,7 +134,7 @@ def brute_analysis(instance, addressed_only=False):
             "b_pr": b_pr,
             "b_ns": math.log2(cong_ns[i]) if cong_ns[i] > 0 else 0.0,
             "delta": delta,
-            "q": p * (delta * (b_ns_global + 2.5 + h) - 2.0 - h) if p > 0 else 0.0,
+            "q": q,
             "amenability": pots[i] - b_pr,
         })
     return out
@@ -250,6 +256,47 @@ def matrix_bad_mass(instance, x):
     for _ in range(k):
         v = v @ q
     return float(v.sum())
+
+
+# ---------------------------------------------------------------- forensics
+
+
+def brute_break_sets(trajectory):
+    """Break sets by rescanning the suffix for every (flaw, i) pair:
+    (b_star, raw, collateral, neglected, lengths) as in BreakSequence."""
+    inst = trajectory.instance
+    z = trajectory.z
+    present = [frozenset(present_at(inst, s)) for s in trajectory.states[: z + 1]]
+    w = list(trajectory.flaws[:z])
+    if z == 0:
+        return (frozenset(),), (present[0],), (frozenset(),), (present[0],), (0,)
+    raw = [present[0]]
+    for i in range(1, z):
+        raw.append(present[i] - (present[i - 1] - {w[i - 1]}))
+
+    def collateral(flaw, i):
+        # exists j in [i+1, z]: gone from present[j] and never addressed
+        # at any step in [i+1, j]
+        for j in range(i + 1, z + 1):
+            if flaw not in present[j]:
+                if all(w[l - 1] != flaw for l in range(i + 1, j + 1)):
+                    return True
+        return False
+
+    def neglected(flaw, i):
+        return (all(flaw in present[j] for j in range(i + 1, z + 1))
+                and all(w[l - 1] != flaw for l in range(i + 1, z + 1)))
+
+    coll, negl, star = [], [], []
+    for i in range(z):
+        o = frozenset(f for f in raw[i] if collateral(f, i))
+        n = frozenset(f for f in raw[i] if f not in o and neglected(f, i))
+        coll.append(o)
+        negl.append(n)
+        star.append(raw[i] - o - n)
+    star.append(frozenset())
+    return (tuple(star), tuple(raw), tuple(coll), tuple(negl),
+            tuple(len(s) for s in star))
 
 
 # ------------------------------------------------------------ closed forms

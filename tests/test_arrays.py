@@ -379,14 +379,12 @@ def _brute_arc_bound(instance):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_profiles_and_arc_bound_match_the_oracles(seed):
-    # the oracle's q has no p = 1 case, so profiles stop short of it
     for p, noise in ((0.0, "random"), (0.3, "random"), (0.2, "greedy"),
                      (0.6, "point"), (1.0, "point")):
         inst = gen_random(10 + seed % 5, 1 + seed % 4, seed=seed, p=p, noise=noise)
         for addressed_only in (False, True):
-            if p < 1.0:
-                assert analysis_mismatches(
-                    inst, flaw_profiles(inst, addressed_only), addressed_only) == []
+            assert analysis_mismatches(
+                inst, flaw_profiles(inst, addressed_only), addressed_only) == []
         want = _brute_arc_bound(inst)
         if want is None:
             with pytest.raises(ModelError, match="probability 1"):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from flawchain import (Bits, BreakSequence, ForensicsError, Trajectory,
-                       break_sets, decode, encode, encoded_length, gen_random,
-                       monte_carlo, reconstruct_witness, run, witness)
+from flawchain import (Bits, BreakSequence, ForensicsError, NoiseModel,
+                       Trajectory, attach_noise, break_sets, decode, encode,
+                       encoded_length, gen_coloring, gen_random, monte_carlo,
+                       reconstruct_witness, run, witness)
 
-from oracles import present_at
+from oracles import brute_break_sets, present_at
 
 
 # --------------------------------------------------------------------- bits
@@ -291,3 +292,31 @@ def test_roundtrip_under_censoring(star9_noisy):
     stats = monte_carlo(star9_noisy, trials=300, seed=55, budget=2)
     assert stats.censored > 0
     _batch_roundtrip(star9_noisy, trials=300, seed=55, budget=2)
+
+
+def _assert_break_sets_match_the_oracle(traj):
+    seq = break_sets(traj)
+    assert (seq.b_star, seq.raw, seq.collateral, seq.neglected,
+            seq.lengths) == brute_break_sets(traj)
+
+
+def test_break_sets_match_the_quadratic_oracle(triangle3):
+    # long prefixes: a wheel under greedy noise wanders for hundreds of steps
+    wheel = attach_noise(gen_coloring(
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)], 3,
+        explicit=True), NoiseModel.greedy_adversarial(), 0.6)
+    zs = []
+    for trial in range(6):
+        traj = run(wheel, seed=31, max_steps=400, trial=trial)
+        zs.append(traj.z)
+        _assert_break_sets_match_the_oracle(traj)
+    assert max(zs) > 50
+    for seed in range(12):
+        inst = gen_random(20, 4, seed=300 + seed, p=0.3)
+        for budget in (3, 30):       # budget 3 censors many of these runs
+            for trial in range(5):
+                _assert_break_sets_match_the_oracle(
+                    run(inst, seed, budget, trial=trial))
+    _assert_break_sets_match_the_oracle(Trajectory(
+        instance=triangle3, seed=0, trial=0, states=(5,), flaws=(), noise=(),
+        terminal="flawless_hit", z=0, hit_step=0))

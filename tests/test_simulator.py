@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from flawchain import (Distribution, HittingStats, NoiseModel, attach_noise,
-                       build_certificate, monte_carlo, run, step, tail_check,
-                       trial_stream, transition_frequencies, validate_instance)
+                       build_certificate, gen_coloring, gen_random, monte_carlo,
+                       run, step, tail_check, trial_stream,
+                       transition_frequencies, validate_instance)
+from flawchain.simulator import _sample_rows, _stacked_rows, running_sums, trial_keys
 
 from oracles import star_mean_hit, star_tail
 
@@ -134,6 +137,117 @@ def test_monte_carlo_matches_individual_runs(star9_noisy):
     assert stats.trials == 50
     with pytest.raises(ValueError):
         monte_carlo(star9_noisy, trials=0, seed=1, budget=10)
+
+
+def _assert_batched_hits_replay(instance, trials, seed, budget):
+    stats = monte_carlo(instance, trials=trials, seed=seed, budget=budget)
+    for i, hit in enumerate(stats.hits):
+        assert hit is None or type(hit) is int
+        assert hit == run(instance, seed=seed, max_steps=budget, trial=i).hit_step
+    return stats
+
+
+def test_batched_hits_equal_scalar_runs(star9, star9_noisy):
+    _assert_batched_hits_replay(star9_noisy, 300, 5, 40)
+    _assert_batched_hits_replay(star9_noisy, 200, 6, 1)          # budget 1
+    # a random initial state shifts every later draw by one uniform; the
+    # longest runs cross refill blocks at that offset
+    theta = _theta_star(star9)
+    stats = _assert_batched_hits_replay(attach_noise(
+        theta, NoiseModel.point(0), 0.8), 300, 7, 60)
+    assert 0 in stats.hits and max(stats.hits) > 20
+    # the same offset with every hub start censored: many live trials
+    # cross the refill blocks in lockstep
+    stats = _assert_batched_hits_replay(attach_noise(
+        theta, NoiseModel.point(0), 1.0), 40, 7, 40)
+    assert 8 < stats.censored < 40
+    # few trials step one by one from the start; some hit on the last step
+    half = attach_noise(star9, NoiseModel.point(0), 0.5)
+    last = 0
+    for seed in range(10):
+        stats = _assert_batched_hits_replay(half, 6, seed, 3)
+        last += stats.hits.count(3)
+    assert last > 0
+    noiseless = attach_noise(star9, NoiseModel.point(0), 0.0)
+    assert set(_assert_batched_hits_replay(noiseless, 50, 8, 10).hits) == {1}
+    # p = 1 pins the hub: every trial is censored after 200 uniforms,
+    # crossing many refill blocks in lockstep, or stepped one by one when
+    # only a few trials run
+    pure = attach_noise(star9, NoiseModel.point(0), 1.0)
+    assert _assert_batched_hits_replay(pure, 20, 9, 100).censored == 20
+    assert _assert_batched_hits_replay(pure, 3, 9, 100).censored == 3
+    flawless = validate_instance(
+        n_states=9, flaws=[{0}], priority=[0],
+        principal=star9.principal, noise=star9.noise, p=0.0, initial=3)
+    assert set(_assert_batched_hits_replay(flawless, 10, 10, 5).hits) == {0}
+    for seed in range(10):
+        inst = gen_random(15, 3, seed=seed, p=(0.0, 0.3, 0.6)[seed % 3],
+                          noise=("random", "uniform", "greedy")[seed % 3])
+        _assert_batched_hits_replay(inst, 60, seed, (3, 40)[seed % 2])
+
+
+def test_monte_carlo_on_implicit_instances_matches_run():
+    inst = attach_noise(gen_coloring([(0, 1), (1, 2), (0, 2)], 3, explicit=False),
+                        NoiseModel.point(0), 0.3)
+    assert not inst.explicit
+    _assert_batched_hits_replay(inst, 40, 12, 30)
+
+
+def test_monte_carlo_rejects_bad_arguments(star9_noisy):
+    with pytest.raises(ValueError, match="trials must be positive, got 0"):
+        monte_carlo(star9_noisy, trials=0, seed=1, budget=10)
+    with pytest.raises(ValueError, match="max_steps must be positive, got 0"):
+        monte_carlo(star9_noisy, trials=5, seed=1, budget=0)
+    with pytest.raises(ValueError) as scalar:
+        trial_stream(-1, 0)
+    with pytest.raises(ValueError) as batched:
+        monte_carlo(star9_noisy, trials=5, seed=-1, budget=10)
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_trial_keys_equal_numpy_seed_sequence():
+    trials = [0, 1, 2**32 - 1, 2**32, 2**40 + 3]   # one- and two-word spawn keys
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 - 17):
+        want = [np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(
+            2, np.uint64).tolist() for t in trials]
+        assert trial_keys(seed, trials).tolist() == want
+
+
+def test_running_sums_equal_sample_accumulation(star9, star9_noisy, triangle3, path2):
+    instances = [star9, star9_noisy, triangle3, path2, _theta_star(star9)]
+    instances += [gen_random(12, 3, seed=seed, p=0.4,
+                             noise=("random", "uniform", "greedy", "point")[seed % 4])
+                  for seed in range(20)]
+    for inst in instances:
+        indptr, targets, sums = _stacked_rows(inst)
+        rows = list(inst.principal) + list(inst.noise)
+        if isinstance(inst.initial, Distribution):
+            rows.append(inst.initial)
+        assert len(indptr) == len(rows) + 1
+        for r, row in enumerate(rows):
+            a, b = indptr[r], indptr[r + 1]
+            acc, want = 0.0, []
+            for _, pr in row.support:
+                acc += pr
+                want.append(acc)
+            assert sums[a:b].tolist() == want
+            assert targets[a:b].tolist() == list(row.states())
+
+
+def test_vectorized_sampling_matches_sample_at_the_edges():
+    # ten 0.1 entries accumulate to 1 - 2^-53, the largest uniform
+    # `random()` returns: that uniform takes sample's fallback, the last entry
+    rows = [Distribution(tuple((s, 0.1) for s in range(10))),
+            Distribution(((0, 0.25), (3, 0.25), (5, 0.5))),
+            Distribution(((7, 1.0),))]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    targets = np.array([s for r in rows for s in r.states()])
+    sums = running_sums(np.array([pr for r in rows for pr in r.probs()]), indptr)
+    us = sorted({0.0, 1.0 - 2.0 ** -53, *sums.tolist(),
+                 *np.nextafter(sums, 0.0).tolist()} - {1.0})
+    for r, row in enumerate(rows):
+        got = _sample_rows(indptr, targets, sums, np.full(len(us), r), np.array(us))
+        assert got.tolist() == [row.sample(u) for u in us]
 
 
 def test_noisy_star_hitting_statistics(star9_noisy):
