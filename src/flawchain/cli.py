@@ -295,6 +295,11 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.delta_max < 1:
+        raise ValueError(f"--delta-max must be at least 1, got {args.delta_max}")
+    if args.noise_bits_max < 0:
+        raise ValueError(f"--noise-bits-max must be at least 0, got "
+                         f"{args.noise_bits_max}")
     report = inequality_audit(
         deltas=range(1, args.delta_max + 1),
         noise_bits=range(0, args.noise_bits_max + 1))

@@ -85,6 +85,8 @@ def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
         cap = tree_cap()
     if isinstance(instance.initial, Distribution):
         raise ValueError("tree enumeration needs a fixed initial state")
+    if not math.isfinite(x):
+        raise ValueError(f"stratum parameter must be finite, got {x}")
     if x < 0:
         raise ValueError(f"stratum parameter must be nonnegative, got {x}")
     root = instance.initial

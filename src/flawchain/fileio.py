@@ -15,6 +15,21 @@ Document layout (format tag "flawchain-instance-v1"):
 Canonical form sorts rows by source state and supports by target state;
 `dumps` always emits it, so equal instances serialize to equal bytes and
 the digest is well defined.
+
+`loads` first tries the canonical reader.  It walks the sorted keys of a
+text laid out as `dumps` writes it, decodes the header values with the
+JSON scanner, checks the state count against the explicit cap, and then
+reads each kernel straight into CSR arrays: a kernel is a quote-free
+span of brackets, commas and numbers, so row boundaries come from the
+bracket positions and every number is parsed in one C-level pass.  A
+kernel is accepted only when the writer reproduces its span byte for
+byte, and `from_dict` then checks the document as it checks any other.
+When the header is canonical as well, the text is exactly `dumps` of the
+instance and is kept as its memoized serialization, so the digest of a
+canonical file is the sha256 of its own bytes.  Every other text
+(pretty-printed, rows in any order, omitted rows, `1` for `1.0`, ...)
+goes through `json.loads` and `from_dict`; both paths give the same
+instance, or the same ModelError.
 """
 
 from __future__ import annotations
@@ -30,6 +45,7 @@ from .core import (Distribution, ExplicitInstance, Kernel, ModelError,
                    explicit_cap, require_explicit, validate_instance)
 
 FORMAT = "flawchain-instance-v1"
+_KERNELS = ("noise", "principal")
 
 _compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
@@ -61,26 +77,55 @@ def to_dict(instance: ExplicitInstance) -> dict:
     return doc
 
 
-def _kernel_text(kernel: Kernel) -> str:
-    """`_compact` of the kernel's `to_dict` rows, written from the arrays.
+BLOCK = 4096   # rows per piece of kernel text; bounds the writer's token arrays
+
+
+def _kernel_pieces(kernel: Kernel, numerals, heads):
+    """`_compact` of the kernel's `to_dict` rows, written from the arrays
+    in pieces of BLOCK rows.
 
     Every entry becomes five tokens: an opener (",[" inside a row, or
     the row's "[s,[[" head), target, ",", probability repr and a closer
-    ("]", or "]]]" at the row's end).  Rows are never empty.
+    ("]", or "]]]" at the row's end).  Rows are never empty.  `numerals`
+    and `heads` hold every state's str and row head.
     """
-    n, indptr = len(kernel), kernel.indptr
-    values, inverse = np.unique(kernel.probs, return_inverse=True)
-    heads = np.array([f",[{s},[[" for s in range(n)], dtype=object)
+    indptr = kernel.indptr
+    yield "["
+    for lo in range(0, len(kernel), BLOCK):
+        hi = min(lo + BLOCK, len(kernel))
+        a, b = indptr[lo], indptr[hi]
+        values, inverse = np.unique(kernel.probs[a:b], return_inverse=True)
+        tokens = np.empty((b - a, 5), dtype=object)
+        tokens[:, 0] = ",["
+        tokens[indptr[lo:hi] - a, 0] = heads[lo:hi]
+        tokens[:, 1] = numerals[kernel.indices[a:b]]
+        tokens[:, 2] = ","
+        tokens[:, 3] = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
+        tokens[:, 4] = "]"
+        tokens[indptr[lo + 1:hi + 1] - a - 1, 4] = "]]]"
+        yield "".join(tokens.ravel().tolist())
+    yield "]"
+
+
+def _numerals(n: int):
+    """Every state's str and kernel row head, for `_kernel_pieces`."""
+    numerals = np.array([str(s) for s in range(n)], dtype=object)
+    heads = ",[" + numerals + ",[["
     heads[0] = heads[0][1:]
-    tokens = np.empty((len(kernel.indices), 5), dtype=object)
-    tokens[:, 0] = ",["
-    tokens[indptr[:-1], 0] = heads
-    tokens[:, 1] = np.array([str(s) for s in range(n)], dtype=object)[kernel.indices]
-    tokens[:, 2] = ","
-    tokens[:, 3] = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
-    tokens[:, 4] = "]"
-    tokens[indptr[1:] - 1, 4] = "]]]"
-    return "[" + "".join(tokens.ravel().tolist()) + "]"
+    return numerals, heads
+
+
+def _header_fields(instance: ExplicitInstance) -> dict:
+    return {key: _compact(value) for key, value in _header(instance).items()}
+
+
+def _write(instance: ExplicitInstance) -> str:
+    fields = _header_fields(instance)
+    numerals, heads = _numerals(instance.n_states)
+    for key in _KERNELS:
+        fields[key] = "".join(_kernel_pieces(getattr(instance, key), numerals, heads))
+    return "{" + ",".join(f"{_compact(key)}:{fields[key]}"
+                          for key in sorted(fields)) + "}\n"
 
 
 def dumps(instance: ExplicitInstance) -> str:
@@ -88,11 +133,7 @@ def dumps(instance: ExplicitInstance) -> str:
     separators=(",", ":"))` plus a newline, memoized on the instance."""
     text = instance.memo.get("text") if instance.explicit else None
     if text is None:
-        fields = {key: _compact(value) for key, value in _header(instance).items()}
-        fields["principal"] = _kernel_text(instance.principal)
-        fields["noise"] = _kernel_text(instance.noise)
-        text = instance.memo["text"] = "{" + ",".join(
-            f"{_compact(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
+        text = instance.memo["text"] = _write(instance)
     return text
 
 
@@ -157,23 +198,7 @@ def from_dict(doc: dict) -> ExplicitInstance:
     for key in ("states", "flaws", "priority", "principal", "p", "initial"):
         if key not in doc:
             raise ModelError(f"missing field {key!r}")
-
-    states = doc["states"]
-    widths = None
-    if isinstance(states, dict):
-        widths = tuple(_integers(states.get("widths"), "states.widths").tolist())
-        if not widths or min(widths) < 1:
-            raise ModelError("states.widths must be a nonempty list of "
-                             "positive integers")
-        n = math.prod(widths)
-    else:
-        n = _integer(states, "states")
-    if n < 1:
-        raise ModelError(f"state count {n} must be positive")
-    cap = explicit_cap()
-    if n > cap:
-        raise ModelError(f"{n} states exceed the explicit cap {cap} "
-                         f"(FLAWCHAIN_EXPLICIT_CAP)")
+    n, widths = _state_count(doc["states"])
 
     if not isinstance(doc["flaws"], list):
         raise ModelError("flaws must be a list of {name, members} objects")
@@ -212,9 +237,33 @@ def from_dict(doc: dict) -> ExplicitInstance:
         flaw_names=names, widths=widths)
 
 
+def _state_count(states):
+    """(state count, widths or None) of a `states` field, checked against
+    the explicit cap."""
+    widths = None
+    if isinstance(states, dict):
+        widths = tuple(_integers(states.get("widths"), "states.widths").tolist())
+        if not widths or min(widths) < 1:
+            raise ModelError("states.widths must be a nonempty list of "
+                             "positive integers")
+        n = math.prod(widths)
+    else:
+        n = _integer(states, "states")
+    if n < 1:
+        raise ModelError(f"state count {n} must be positive")
+    cap = explicit_cap()
+    if n > cap:
+        raise ModelError(f"{n} states exceed the explicit cap {cap} "
+                         f"(FLAWCHAIN_EXPLICIT_CAP)")
+    return n, widths
+
+
 def _kernel_in(entries, n, label) -> Kernel:
     """Kernel of [state, [[target, prob], ...]] rows in any order; states
-    without a row keep a unit self-loop."""
+    without a row keep a unit self-loop.  A Kernel (the canonical reader's)
+    is taken as it is."""
+    if isinstance(entries, Kernel):
+        return entries
     if not isinstance(entries, list):
         raise ModelError(f"{label} must be a list of rows")
     sources, lengths, pairs = [], [], []
@@ -256,7 +305,114 @@ def _kernel_in(entries, n, label) -> Kernel:
     return Kernel.from_entries(row_len, all_targets, all_probs)
 
 
+_KEYS = ("flaws", "format", "initial", "noise", "p", "principal", "priority",
+         "states")
+_decode = json.JSONDecoder().raw_decode
+
+
+def _split(text: str):
+    """The header values of a text laid out as `dumps` writes it, and the
+    (start, end) span of every value.  None when the keys, separators or
+    ending differ."""
+    doc, spans, pos = {}, {}, 0
+    for key in _KEYS:
+        head = f'{"," if pos else "{"}"{key}":'
+        if not text.startswith(head, pos):
+            return None
+        pos += len(head)
+        if key in _KERNELS:
+            end = text.find('"', pos) - 1    # a kernel span holds no quote
+            if end < pos:
+                return None
+        else:
+            try:
+                doc[key], end = _decode(text, pos)
+            except json.JSONDecodeError:
+                return None
+        spans[key], pos = (pos, end), end
+    return (doc, spans) if text.endswith("}\n") and pos == len(text) - 2 else None
+
+
+def _scan_kernel(span: str, n: int):
+    """Kernel of a span "[[0,[[t,p],...]],...,[n-1,[[t,p],...]]]" with
+    finite numbers and targets in 0..n-1, or None when the span is not
+    laid out so.
+
+    Inside the outer bracket, row s reads "[s,[[t,p],[t,p],...]]": 2 + len
+    opening brackets, of which only its "[[" are adjacent, so the "[["
+    pairs mark the rows and the bracket counts between them give the row
+    lengths.  With the brackets deleted the span is a comma-separated list
+    of numbers: per row s, then its (target, prob) pairs.
+    """
+    if not (span.isascii() and span.startswith("[[") and span.endswith("]")):
+        return None
+    raw = span.encode("ascii")
+    opens = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("["))[1:]
+    starts = np.flatnonzero(np.diff(opens) == 1) - 1
+    lengths = np.diff(np.append(starts, len(opens))) - 2
+    if len(lengths) != n or starts[0] != 0 or lengths.min() < 1:
+        return None
+    try:
+        values = np.fromstring(raw.translate(None, b"[]"), sep=",")
+    except ValueError:
+        return None
+    per_row = 1 + 2 * lengths
+    state_at = np.cumsum(per_row) - per_row
+    if len(values) != per_row.sum() or not np.isfinite(values).all() or (
+            not np.array_equal(values[state_at], np.arange(n))):
+        return None
+    pairs = np.delete(values, state_at).reshape(-1, 2)
+    if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= n:
+        return None
+    return Kernel.from_entries(lengths, pairs[:, 0].astype(np.int64), pairs[:, 1])
+
+
+def _spells(text: str, start: int, end: int, pieces) -> bool:
+    """Whether text[start:end] is the concatenation of `pieces`."""
+    for piece in pieces:
+        if not text.startswith(piece, start, end):
+            return False
+        start += len(piece)
+    return start == end
+
+
+def _read_canonical(text: str):
+    """The instance of a text laid out as `dumps` writes it, or None.
+
+    The kernels are accepted only when the writer reproduces their spans
+    byte for byte, so the document handed to `from_dict` is the one
+    `json.loads` would give, with the kernels already built: any
+    ModelError it raises is the general path's.  The text is memoized as
+    the serialization only when the header is canonical too.
+    """
+    split = _split(text)
+    if split is None:
+        return None
+    doc, spans = split
+    try:
+        n, _ = _state_count(doc["states"])
+    except ModelError:
+        return None
+    numerals, heads = _numerals(n)
+    for key in _KERNELS:
+        kernel = _scan_kernel(text[slice(*spans[key])], n)
+        if kernel is None or not _spells(text, *spans[key],
+                                         _kernel_pieces(kernel, numerals, heads)):
+            return None
+        doc[key] = kernel
+    instance = from_dict(doc)
+    if all(field == text[slice(*spans[key])]
+           for key, field in _header_fields(instance).items()):
+        instance.memo["text"] = text
+    return instance
+
+
 def loads(text: str) -> ExplicitInstance:
+    """Instance of a document text: canonical texts through the canonical
+    reader, any other through `json.loads` and `from_dict`."""
+    instance = _read_canonical(text) if isinstance(text, str) else None
+    if instance is not None:
+        return instance
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -275,5 +431,6 @@ def load(path) -> ExplicitInstance:
 
 
 def digest(instance: ExplicitInstance) -> str:
-    """sha256 of the canonical serialization."""
+    """sha256 of the canonical serialization (of the file's own text, for
+    an instance loaded from a canonical file)."""
     return hashlib.sha256(dumps(instance).encode("utf-8")).hexdigest()

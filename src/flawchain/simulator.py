@@ -20,7 +20,9 @@ in the order above, so trial i still replays exactly as
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,25 +184,30 @@ class HittingStats:
     budget: int
     hits: tuple  # per trial: hitting step, or None when censored
 
+    @cached_property
+    def _done(self) -> list:
+        """The finished trials' hitting steps, ascending."""
+        return sorted(h for h in self.hits if h is not None)
+
     @property
     def censored(self) -> int:
-        return sum(1 for h in self.hits if h is None)
+        return len(self.hits) - len(self._done)
 
     def tail(self, t: int) -> float:
         """Fraction of trials still flawed after t steps (t <= budget)."""
         if t > self.budget:
             raise ValueError(f"tail({t}) undefined beyond the budget {self.budget}")
-        bad = sum(1 for h in self.hits if h is None or h > t)
+        bad = len(self.hits) - bisect_right(self._done, t)
         return bad / self.trials
 
     def tail_table(self, ts=None) -> list:
         if ts is None:
-            seen = sorted({h for h in self.hits if h is not None})
+            seen = sorted(set(self._done))
             ts = sorted({0, *seen[:1000], min(self.budget, (seen[-1] if seen else 0) + 1)})
         return [(int(t), self.tail(t)) for t in ts]
 
     def mean_hit(self) -> float:
-        done = [h for h in self.hits if h is not None]
+        done = self._done
         return sum(done) / len(done) if done else math.nan
 
 

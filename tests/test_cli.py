@@ -283,6 +283,16 @@ def test_tree_cap_exit(noisy_file, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_tree_rejects_a_non_finite_x(tmp_path, capsys, star9, x):
+    # star9 is noiseless, so an unguarded run still ends (absorbed leaves)
+    path = tmp_path / "star.json"
+    save(star9, path)
+    rc, stdout, err = cli(capsys, "tree", str(path), f"--x={x}", "--cap", "1000")
+    assert (rc, stdout) == (2, "")
+    assert err == f"flawchain tree: stratum parameter must be finite, got {float(x)}\n"
+
+
 # ------------------------------------------------------------------ audit
 
 
@@ -295,6 +305,18 @@ def test_audit_small_grid(capsys):
     assert doc["ok"]
     assert doc["checked"] == 2 * 4 * 3 * 99
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--delta-max", "0"), "--delta-max must be at least 1, got 0"),
+    (("--delta-max", "-3"), "--delta-max must be at least 1, got -3"),
+    (("--noise-bits-max", "-1"), "--noise-bits-max must be at least 0, got -1"),
+])
+def test_audit_rejects_an_empty_grid(tmp_path, capsys, argv, message):
+    out = tmp_path / "audit.json"
+    rc, stdout, err = cli(capsys, "audit", *argv, "--out", str(out))
+    assert (rc, stdout, err) == (2, "", f"flawchain audit: {message}\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- subprocess

@@ -27,6 +27,12 @@ def test_root_only_at_x_zero(star9):
     assert prefix_entropy(tree) == 0.0
 
 
+def test_non_finite_x_is_rejected(star9):
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            truncated_tree(star9, x)
+
+
 def test_star_depth_one_tree(star9):
     tree = truncated_tree(star9, 2)
     assert tree.n_leaves == 8

@@ -275,6 +275,40 @@ def test_tail_bookkeeping():
     assert table[0] == 1.0 and table[3] == 0.25
 
 
+def _scanned_stats(stats):
+    """tail, censored, mean_hit and the default tail_table by rescanning
+    every hit for each t: the per-t scan the sorted hits replace."""
+    def tail(t):
+        return sum(1 for h in stats.hits if h is None or h > t) / stats.trials
+    done = [h for h in stats.hits if h is not None]
+    seen = sorted(set(done))
+    ts = sorted({0, *seen[:1000], min(stats.budget, (seen[-1] if seen else 0) + 1)})
+    mean = sum(done) / len(done) if done else math.nan
+    return tail, sum(1 for h in stats.hits if h is None), mean, [(t, tail(t)) for t in ts]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sorted_hits_match_the_per_t_scan(seed):
+    rng = np.random.default_rng(seed)
+    budget = int(rng.integers(1, 3000))
+    trials = int(rng.integers(1, 2500))
+    # few distinct values (ties), censored trials, hits at the budget itself
+    pool = rng.integers(0, budget + 1, size=int(rng.integers(1, 1500)))
+    hits = [None if rng.random() < 0.2 else int(rng.choice(pool)) for _ in range(trials)]
+    hits[0] = budget
+    if seed == 0:   # more distinct hitting steps than tail_table lists
+        budget, trials = 3000, 2400
+        hits = [None if t % 7 == 0 else t for t in range(trials)]
+    stats = HittingStats(trials=trials, seed=0, budget=budget, hits=tuple(hits))
+    tail, censored, mean, table = _scanned_stats(stats)
+    assert stats.censored == censored
+    assert stats.mean_hit() == mean or (math.isnan(mean) and math.isnan(stats.mean_hit()))
+    assert stats.tail_table() == table
+    ts = [0, budget, budget - 1, *rng.integers(0, budget + 1, size=50).tolist()]
+    assert [stats.tail(t) for t in ts] == [tail(t) for t in ts]
+    assert stats.tail_table(ts) == [(t, tail(t)) for t in ts]
+
+
 def test_mean_hit_nan_when_everything_censored():
     stats = HittingStats(trials=2, seed=0, budget=5, hits=(None, None))
     assert math.isnan(stats.mean_hit())
