@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (binary_entropy, mixed_flawed, require_explicit, row_sums)
+from .core import (binary_entropy, map_values, mixed_flawed, require_explicit,
+                   row_sums)
 
 PRINCIPAL = "principal"
 NOISE = "noise"
@@ -106,10 +107,8 @@ def _potentials(instance) -> list:
     the values equal the row-by-row computation bit for bit.
     """
     states, indptr, _, probs = mixed_flawed(instance)
-    values, inverse = np.unique(probs, return_inverse=True)
-    terms = np.array([pr * math.log2(pr) if pr > 0.0 else 0.0
-                      for pr in values.tolist()])
-    entropy = -row_sums(terms[inverse], indptr)
+    terms = map_values(lambda pr: pr * math.log2(pr) if pr > 0.0 else 0.0, probs)
+    entropy = -row_sums(terms, indptr)
     best = np.full(instance.m, math.inf)
     np.minimum.at(best, instance.labels[states], entropy)
     return best.tolist()

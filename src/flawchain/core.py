@@ -165,6 +165,18 @@ def row_sums(values, indptr, compensated: bool = COMPENSATED_SUM):
     return out
 
 
+def map_values(fn, values):
+    """fn of every element of a float array, as a float array.
+
+    fn is called once per distinct value, on a Python float, so each
+    result is the scalar call's bit for bit.
+    """
+    ordered = np.sort(values)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    table = np.array([fn(v) for v in distinct.tolist()], dtype=np.float64)
+    return table[np.searchsorted(distinct, values)]
+
+
 def _frozen(array, dtype):
     out = np.ascontiguousarray(array, dtype=dtype)
     out.flags.writeable = False
@@ -458,19 +470,16 @@ def mixed_row(instance, state: int) -> Distribution:
     return Distribution(tuple(sorted(acc.items())))
 
 
-def mixed_flawed(instance):
-    """Mixed rows of every flawed state, as (states, indptr, targets, probs).
+def mixed_rows(instance, states):
+    """Mixed rows of `states`, as (indptr, targets, probs) arrays.
 
     Row k belongs to states[k].  Entries are combined exactly as
     `mixed_row` combines them, so each probability equals the row
     view's bit for bit.
     """
-    states = np.flatnonzero(instance.labels >= 0)
     p = instance.p
     if p == 0.0 or p == 1.0:
-        indptr, targets, probs = (instance.principal if p == 0.0
-                                  else instance.noise).take(states)
-        return states, indptr, targets, probs
+        return (instance.principal if p == 0.0 else instance.noise).take(states)
     ip, tp, pp = instance.principal.take(states)
     iq, tq, pq = instance.noise.take(states)
     rows = np.concatenate((np.repeat(np.arange(len(states)), np.diff(ip)),
@@ -485,7 +494,23 @@ def mixed_flawed(instance):
     keep[repeat + 1] = False
     indptr = np.zeros(len(states) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[keep], minlength=len(states)), out=indptr[1:])
-    return states, indptr, targets[keep], probs[keep]
+    return indptr, targets[keep], probs[keep]
+
+
+def mixed_flawed(instance):
+    """Mixed rows of every flawed state, as (states, indptr, targets, probs).
+
+    Computed once per instance and kept read-only in `instance.memo`,
+    where `arc_bound` and the analyzer's potentials share it.
+    """
+    memo = instance.memo.get("mixed_flawed")
+    if memo is None:
+        states = np.flatnonzero(instance.labels >= 0)
+        indptr, targets, probs = mixed_rows(instance, states)
+        memo = instance.memo["mixed_flawed"] = (
+            _frozen(states, np.int64), _frozen(indptr, np.int64),
+            _frozen(targets, np.int64), _frozen(probs, np.float64))
+    return memo
 
 
 def arc_bound(instance) -> int:

@@ -9,6 +9,7 @@ shared bug would have to be written twice to go unnoticed.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,72 @@ def fraction_tree(instance, x):
             queue.append((t, prob * Fraction(pr), prefix + (t,),
                           red_len + 1 if child_red else red_len, child_red))
     return leaves
+
+
+Leaf = namedtuple("Leaf", "prefix log2_prob bad absorbed red")
+
+
+def dfs_tree(instance, x, cap):
+    """The stratum-truncated tree by the depth-first walk the level-wise
+    builder replaced, in the same float arithmetic.
+
+    Returns the leaves in emission order (their repr matches
+    `exact.Leaf`'s), or None once more than `cap` leaves are emitted.
+    """
+    flawless = [addressed_at(instance, s) is None for s in range(instance.n_states)]
+    rows = {}
+    leaves = []
+    root = instance.initial
+    # entries: (state, log2 prob, prefix, red length, still all-flawed)
+    stack = [(root, 0.0, (root,), 0 if flawless[root] else 1, not flawless[root])]
+    while stack:
+        state, logp, prefix, red_len, still_red = stack.pop()
+        if state not in rows:
+            rows[state] = sorted(mixed_support(instance, state).items())
+        row = rows[state]
+        if logp <= -x or row == [(state, 1.0)]:
+            leaves.append(Leaf(prefix, logp, still_red, logp > -x,
+                               prefix[:red_len]))
+            if len(leaves) > cap:
+                return None
+            continue
+        for target, pr in reversed(row):
+            child_red = still_red and not flawless[target]
+            stack.append((target, logp + math.log2(pr), prefix + (target,),
+                          red_len + 1 if child_red else red_len, child_red))
+    return leaves
+
+
+def dfs_row(instance, leaves, x, B):
+    """`exact.stratification_row` (no certificate) as the depth-first
+    version computed it, one leaf at a time."""
+    probs = [2.0 ** leaf.log2_prob for leaf in leaves]
+    mass = sum(probs)
+    sandwich_ok = absorbed_ok = True
+    for leaf in leaves:
+        if leaf.absorbed:
+            if (leaf.log2_prob <= -x
+                    or addressed_at(instance, leaf.prefix[-1]) is not None):
+                absorbed_ok = False
+        elif not (-x - B - 1e-9 < leaf.log2_prob <= -x + 1e-9):
+            sandwich_ok = False
+    groups = {}
+    for leaf, prob in zip(leaves, probs):
+        groups[leaf.red] = groups.get(leaf.red, 0.0) + prob
+    h = -sum(q * math.log2(q) for q in groups.values() if q > 0.0)
+    mass_bad = sum(prob for leaf, prob in zip(leaves, probs) if leaf.bad)
+    return {
+        "x": x,
+        "skipped": False,
+        "n_leaves": len(leaves),
+        "mass": mass,
+        "mass_ok": abs(mass - 1.0) <= 1e-9,
+        "sandwich_ok": sandwich_ok,
+        "absorbed_ok": absorbed_ok,
+        "bad_mass": mass_bad,
+        "prefix_entropy": h,
+        "entropy_floor_ok": h >= x * mass_bad - 1e-9,
+    }
 
 
 def fraction_bad_mass(instance, x):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from flawchain import (Distribution, Kernel, ModelError, NoiseModel,
-                       arc_bound, attach_noise, congestion, flaw_profiles,
-                       gen_coloring, gen_ksat, gen_random, gen_star,
-                       gen_uniform_singletons, instance_violations, mixed_row,
-                       potential, validate_instance)
+                       arc_bound, attach_noise, certify, congestion, core,
+                       flaw_profiles, gen_coloring, gen_ksat, gen_random,
+                       gen_star, gen_uniform_singletons, instance_violations,
+                       mixed_row, potential, validate_instance)
 from flawchain.core import ROW_TOL, _row_problems, mixed_flawed, row_sums
 from flawchain.fileio import digest, dumps, loads, to_dict
 
@@ -405,6 +405,18 @@ def test_mixed_rows_and_potentials_equal_the_row_views(seed):
         assert row.support == tuple(zip(targets[a:b].tolist(), probs[a:b].tolist()))
         best[inst.addressed(s)] = min(best[inst.addressed(s)], row.entropy())
     assert [pf.potential for pf in flaw_profiles(inst)] == best
+
+
+def test_the_flawed_mixed_rows_are_merged_once_per_instance(monkeypatch):
+    inst = gen_random(12, 3, seed=3, p=0.15)
+    merges = []
+    merge = core.mixed_rows
+    monkeypatch.setattr(core, "mixed_rows",
+                        lambda *args: merges.append(1) or merge(*args))
+    certify(inst)   # the potentials, then arc_bound
+    assert len(merges) == 1
+    assert mixed_flawed(inst) is mixed_flawed(inst)
+    assert not any(array.flags.writeable for array in mixed_flawed(inst))
 
 
 def test_potential_of_a_unit_mixed_row_keeps_its_sign():

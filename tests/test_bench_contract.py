@@ -3,11 +3,14 @@
 `bench/spans.py` wraps the functions listed in its LAYERS table by name
 and counts calls of the COUNTED ones as workload-identity counters.  A
 renamed or moved function would silently read as zero calls there, so
-every name it lists must resolve to a callable here.
+every name it lists must resolve to a callable here, and the spans it
+reads off a traced run must keep their meaning.
 """
 
 import importlib
+import json
 import pathlib
+import sys
 import types
 
 import pytest
@@ -48,3 +51,46 @@ def test_counted_hooked_and_scoped_names_are_spanned(spans):
         for module in modules:
             importlib.import_module(module)
 
+
+
+def test_a_traced_tree_builds_once_and_makes_no_leaf(spans, monkeypatch,
+                                                      tmp_path, star9_noisy):
+    from flawchain import exact
+    from flawchain.fileio import save
+    path = tmp_path / "star.json"
+    save(star9_noisy, path)
+    built = []
+    leaf = exact.Leaf
+    monkeypatch.setattr(exact, "Leaf",
+                        lambda *args, **kwargs: built.append(1) or leaf(*args, **kwargs))
+    # install() rebinds names across the package: put every one back
+    modules = {name: dict(vars(module)) for name, module in sys.modules.items()
+               if name == "flawchain" or name.startswith("flawchain.")}
+    members = []
+    for name in spans.span_names():
+        layer, *cls, attr = name.split(".")
+        if cls:
+            owner = getattr(sys.modules[f"flawchain.{layer}"], cls[0])
+            members.append((owner, attr, vars(owner)[attr]))
+    tracer = spans.Tracer()
+    tracer.install(full=True)
+    try:
+        rc = sys.modules["flawchain.cli"].main(
+            ["tree", str(path), "--x", "8", "--no-leaves",
+             "--out", str(tmp_path / "tree.json")])
+    finally:
+        for name, before in modules.items():
+            module = sys.modules[name]
+            for key, value in before.items():
+                if vars(module)[key] is not value:
+                    setattr(module, key, value)
+        for owner, attr, value in members:
+            setattr(owner, attr, value)
+    assert rc == 0
+    doc = json.loads((tmp_path / "tree.json").read_text())
+    metrics = spans.layer_metrics([tracer.record()])
+    for name in ("truncated_tree", "bad_mass", "prefix_entropy"):
+        assert metrics[f"exact.{name}.calls"] == 1, name
+    assert metrics["exact.leaves"] == doc["n_leaves"] == 865
+    assert metrics["exact.errors"] == 0
+    assert built == []

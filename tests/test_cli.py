@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -281,6 +282,30 @@ def test_tree_cap_exit(noisy_file, capsys):
     rc, _, err = cli(capsys, "tree", noisy_file, "--x", "6", "--cap", "3")
     assert rc == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_tree_rejects_a_cap_below_one(noisy_file, capsys, cap):
+    rc, stdout, err = cli(capsys, "tree", noisy_file, "--x", "2", "--cap", cap)
+    assert (rc, stdout) == (2, "")
+    assert err == f"flawchain tree: leaf cap must be a positive integer, got {cap}\n"
+
+
+@pytest.mark.parametrize("fixture, x, sha256", [
+    ("star9_noisy", "4",
+     "9e09c62ce3a92c62b84b1c9f69dd089b4f80bdea82a384985243b0feabcc3d5e"),
+    # path2 at x = 8 has absorbed leaves
+    ("path2", "8",
+     "22df935ca0329991801e47376798cb8d90fc066e05c00c228143e88515926697"),
+])
+def test_tree_documents_are_pinned(request, tmp_path, monkeypatch, capsys,
+                                   fixture, x, sha256):
+    # the manifest records the instance path as given: keep it relative
+    monkeypatch.chdir(tmp_path)
+    save(request.getfixturevalue(fixture), f"{fixture}.json")
+    rc, stdout, _ = cli(capsys, "tree", f"{fixture}.json", "--x", x)
+    assert rc == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])

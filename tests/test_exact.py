@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from flawchain import (CapExceeded, Distribution, ModelError, bad_mass,
-                       build_certificate, gen_coloring, gen_random,
-                       prefix_entropy, truncated_tree, validate_instance,
-                       verify_stratification)
+from flawchain import (CapExceeded, Distribution, ModelError, NoiseModel,
+                       arc_bound, attach_noise, bad_mass, build_certificate,
+                       gen_coloring, gen_random, prefix_entropy,
+                       truncated_tree, validate_instance, verify_stratification)
+from flawchain.exact import stratification_row
 
-from oracles import (fraction_bad_mass, fraction_prefix_entropy,
-                     fraction_tree, matrix_bad_mass, star_bad_mass)
+from oracles import (dfs_row, dfs_tree, fraction_bad_mass,
+                     fraction_prefix_entropy, fraction_tree, matrix_bad_mass,
+                     star_bad_mass)
 
 
 # ------------------------------------------------------------- small trees
@@ -79,6 +85,10 @@ def test_guard_rails(star9, star9_noisy, triangle3):
         truncated_tree(star9, -1)
     with pytest.raises(CapExceeded):
         truncated_tree(star9_noisy, 12, cap=5)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"leaf cap must be a positive "
+                                             f"integer, got {cap}"):
+            truncated_tree(star9, 2, cap=cap)
     theta = validate_instance(
         n_states=9, flaws=[{0}], priority=[0],
         principal=[row.support for row in star9.principal],
@@ -89,6 +99,86 @@ def test_guard_rails(star9, star9_noisy, triangle3):
     implicit = gen_coloring([(0, 1)], 2, explicit=False)
     with pytest.raises(ModelError):
         truncated_tree(implicit, 2)
+
+
+def test_a_huge_x_fails_fast_at_the_cli(tmp_path, star9_noisy):
+    # The hub holds itself with probability 0.2, so a depth-first walk
+    # dives ~430k levels before its first leaf, copying an ever longer
+    # prefix.  A child interpreter with an address-space limit and a
+    # timeout keeps such a walk from taking the machine with it.
+    from flawchain.fileio import save
+    path = tmp_path / "star.json"
+    save(star9_noisy, path)
+    script = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from flawchain.cli import main
+        sys.exit(main(["tree", {str(path)!r}, "--x", "1e6", "--cap", "100"]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("flawchain tree: leaf cap 100 exceeded (")
+    assert proc.stderr.count("\n") == 1
+
+
+# ------------------------------------------------- the depth-first oracle
+
+XS = (0, 0.5, 1, 3.5, 8, 12)
+NOISES = {"point": NoiseModel.point(0), "uniform": NoiseModel.uniform(),
+          "greedy": NoiseModel.greedy_adversarial()}
+
+
+def _assert_matches_the_walk(instance):
+    B = arc_bound(instance)
+    for x in XS:
+        tree = truncated_tree(instance, x)
+        n = tree.n_leaves
+        # the walk emits n leaves, so its cap passes at n and trips at n - 1
+        leaves = dfs_tree(instance, x, cap=n)
+        assert repr(tree.leaves) == repr(tuple(leaves))
+        row = stratification_row(instance, tree, B)
+        assert repr(row) == repr(dfs_row(instance, leaves, float(x), B))
+        assert repr((tree.mass(), bad_mass(tree), prefix_entropy(tree))) == \
+            repr((row["mass"], row["bad_mass"], row["prefix_entropy"]))
+        assert truncated_tree(instance, x, cap=n).n_leaves == n
+        if n > 1:
+            with pytest.raises(CapExceeded):
+                truncated_tree(instance, x, cap=n - 1)
+
+
+@pytest.mark.parametrize("noise", [None, *NOISES])
+@pytest.mark.parametrize("fixture", ["star9", "star9_noisy", "triangle3", "path2"])
+def test_fixture_trees_equal_the_depth_first_walk(request, fixture, noise):
+    instance = request.getfixturevalue(fixture)
+    if noise is not None:
+        instance = attach_noise(instance, NOISES[noise], 0.2)
+    _assert_matches_the_walk(instance)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_trees_equal_the_depth_first_walk(seed):
+    _assert_matches_the_walk(gen_random(10, 3, seed=seed, p=0.3))
+
+
+def test_arc_logs_round_as_math_log2():
+    # numpy's vectorized log2 rounds log2(0.08209) one ulp away
+    inst = validate_instance(
+        n_states=3, flaws=[{0}], priority=[0],
+        principal={0: [(1, 0.08209), (2, 0.91791)], 1: [(1, 1.0)], 2: [(2, 1.0)]},
+        noise={s: [(s, 1.0)] for s in range(3)}, p=0.0, initial=0)
+    _assert_matches_the_walk(inst)
+
+
+def test_a_flawless_root_has_an_empty_red_prefix(star9):
+    noisy = attach_noise(star9, NoiseModel.uniform(), 0.2)
+    spoke = validate_instance(
+        n_states=9, flaws=noisy.member, priority=noisy.priority,
+        principal=noisy.principal, noise=noisy.noise, p=noisy.p, initial=3)
+    _assert_matches_the_walk(spoke)
+    assert {leaf.red for leaf in truncated_tree(spoke, 3.5).leaves} == {()}
 
 
 # ------------------------------------------------------------ oracle match
