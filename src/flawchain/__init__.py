@@ -24,7 +24,7 @@ from .certifier import (AuditReport, Certificate, ConditionReport,
                         certify, condition_report, inequality_audit,
                         lambda_search, uniform_noiseless_check)
 from .simulator import (HittingStats, Trajectory, monte_carlo, run, step,
-                        tail_check, transition_frequencies, trial_stream)
+                        tail_check, trial_stream)
 from .forensics import (Bits, BreakSequence, ForensicsError, break_sets,
                         decode, encode, encoded_length, reconstruct_witness,
                         witness)

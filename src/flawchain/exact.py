@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Distribution, arc_bound, env_cap, map_values, mixed_rows,
-                   require_explicit)
+from .core import (Distribution, ModelError, arc_bound, env_cap, map_values,
+                   mixed_rows, require_explicit)
 
 DEFAULT_TREE_CAP = 10_000_000
 
@@ -43,12 +43,12 @@ def tree_cap() -> int:
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, cap, leaves, pending):
+    def __init__(self, cap, leaves, pending, detail=None):
         self.cap = cap
         self.leaves = leaves
         self.pending = pending
-        super().__init__(f"leaf cap {cap} exceeded ({leaves} leaves emitted, "
-                         f"{pending} vertices pending)")
+        detail = detail or f"{leaves} leaves emitted, {pending} vertices pending"
+        super().__init__(f"leaf cap {cap} exceeded ({detail})")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,10 @@ def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
     Children follow their parent in ascending state order, so the leaves
     come out in lexicographic prefix order.  Raises CapExceeded past
     `cap` leaves (default `tree_cap()`) before allocating a level that
-    would pass it: every pending vertex ends in at least one leaf.  x = 0
+    would pass it: every pending vertex ends in at least one leaf.  A
+    vertex on a cycle of one-arc rows has one leaf however deep its path
+    goes, so it raises ModelError when a lap keeps all the mass and
+    CapExceeded when the stratum is more than `cap` laps away.  x = 0
     degenerates to the root alone.
     """
     require_explicit(instance, "truncated_tree")
@@ -145,6 +148,15 @@ def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
     unit = (lengths == 1) & (targets[head] == np.arange(n)) & (probs[head] == 1.0)
     logs = map_values(math.log2, probs)
     flawed = instance.labels >= 0
+    # any other one-arc row gives its vertex a single child, so a vertex
+    # on a cycle of such rows heads a path that keeps no more than the
+    # cycle's mass per lap, and that no leaf count bounds
+    single = np.flatnonzero((lengths == 1) & ~unit)
+    cycles = _cycles(n, single, targets[head[single]])
+    cycle_of = np.full(n, -1)
+    for k, cycle in enumerate(cycles):
+        cycle_of[cycle] = k
+    one_log, one_prob = logs[head], probs[head]   # a one-arc row's arc
 
     state = np.array([instance.initial])
     logp = np.zeros(1)
@@ -157,6 +169,11 @@ def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
         done = ~live | unit[state]
         grow = np.flatnonzero(~done)
         emitted += len(state) - len(grow)
+        if cycles:
+            for v in grow[cycle_of[state[grow]] >= 0].tolist():
+                _refuse_cycle(cycles[cycle_of[state[v]]], int(state[v]),
+                              one_log, one_prob, logp[v] + x,
+                              cap, emitted, len(grow))
         rows = state[grow]
         sizes = lengths[rows]
         pending = int(sizes.sum())
@@ -201,6 +218,46 @@ def truncated_tree(instance, x: float, cap: int | None = None) -> TruncatedTree:
         x=float(x), log2_prob=logp, bad=bad, absorbed=absorbed, vertex=vertex,
         red_key=key, states=np.concatenate([level[0] for level in levels]),
         parents=np.concatenate([level[1] for level in levels]))
+
+
+def _refuse_cycle(cycle, start, arc_logs, arc_probs, height, cap, emitted, pending):
+    """Fail for a vertex `height` bits above the stratum at state `start`
+    of a cycle of one-arc rows: its path never reaches the stratum when
+    a lap keeps all its mass, and should not be walked when it needs
+    more than `cap` laps."""
+    at = cycle.index(start)
+    cycle = cycle[at:] + cycle[:at]
+    path = " -> ".join(map(str, cycle + cycle[:1]))
+    lap = sum(arc_logs[cycle].tolist())
+    if lap >= 0.0:
+        raise ModelError(
+            f"the tree never reaches the stratum: states {path} repeat with "
+            f"probability {math.prod(arc_probs[cycle].tolist())} per lap")
+    laps = height / -lap
+    if laps > cap:
+        raise CapExceeded(cap, emitted, pending, detail=(
+            f"states {path} repeat for about {laps:.3g} laps before the stratum"))
+
+
+def _cycles(n, states, targets) -> list:
+    """The cycles of the map states[k] -> targets[k] on 0..n-1, each a
+    list of states in map order.  Each state is walked once."""
+    succ = np.full(n, -1)
+    succ[states] = targets
+    succ = succ.tolist()
+    seen = bytearray(len(succ))   # 1 on the current walk, 2 walked
+    cycles = []
+    for s in states.tolist():
+        walk = []
+        while s >= 0 and not seen[s]:
+            seen[s] = 1
+            walk.append(s)
+            s = succ[s]
+        if s >= 0 and seen[s] == 1:
+            cycles.append(walk[walk.index(s):])
+        for v in walk:
+            seen[v] = 2
+    return cycles
 
 
 def bad_mass(tree: TruncatedTree) -> float:

@@ -10,10 +10,11 @@ construction therefore produce byte-identical trajectories.
 
 `monte_carlo` on explicit instances does not replay trials one by one:
 it derives every trial's Philox key in one vectorized pass and steps
-all live trials in lockstep on the stacked CSR kernels, drawing each
-trial's uniforms in blocks from its own stream; the last few live
-trials finish with scalar steps.  Every trial still consumes its stream
-in the order above, so trial i still replays exactly as
+all live trials in lockstep on the stacked CSR kernels.  Their uniforms
+come from a numpy port of Philox4x64-10 (`philox_uniforms`) that runs
+every live trial's stream over the same counters at once; the last few
+live trials finish with scalar steps.  Every trial still consumes its
+stream in the order above, so trial i still replays exactly as
 `run(..., trial=i)`.
 """
 
@@ -35,7 +36,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4   # SeedSequence's default pool size in uint32 words
 
-BLOCK = 32   # uniforms drawn per trial and refill; Philox yields 4 per counter
+# Philox4x64-10 multipliers and key bumps (numpy's Random123 constants)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+WIDTH = 32    # most counters (4 uniforms each) drawn per trial and refill
 CHUNK = 8192  # trials stepped together, bounding the uniform blocks' memory
 FEW = 8       # live trials at which stepping them one by one is cheaper
 
@@ -101,6 +106,41 @@ def trial_keys(seed: int, trials) -> np.ndarray:
     keys[:, 0] = state[0] | state[1] << np.uint64(32)
     keys[:, 1] = state[2] | state[3] << np.uint64(32)
     return keys
+
+
+def _mulhilo(m: int, x):
+    """High and low words of the 128-bit product m * x, the high word
+    built from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(_MASK32), x >> np.uint64(32)
+    cross_a, cross_b = m_hi * x_lo, m_lo * x_hi
+    mid = ((m_lo * x_lo >> np.uint64(32)) + (cross_a & np.uint64(_MASK32))
+           + (cross_b & np.uint64(_MASK32)))
+    hi = (m_hi * x_hi + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32))
+          + (mid >> np.uint64(32)))
+    return hi, np.uint64(m) * x
+
+
+def philox_uniforms(keys, counter: int, width: int) -> np.ndarray:
+    """Uniforms 4*counter .. 4*(counter + width) - 1 of each keyed stream.
+
+    `keys` is a (lanes, 2) array from `trial_keys`; row k of the result
+    equals `trial_stream` of lane k after `random(4 * counter)`, then
+    `random(4 * width)`, bit for bit.  As in numpy's Philox the counter
+    is bumped before each block, and a double is (x >> 11) * 2^-53.
+    Only the counter's low word moves, so counter + width < 2^64.
+    """
+    key0, key1 = keys[:, :1], keys[:, 1:]
+    c0 = np.arange(counter + 1, counter + width + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + np.uint64(_PHILOX_W[0]), key1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return (words >> np.uint64(11)).reshape(len(keys), 4 * width) * 2.0 ** -53
 
 
 def step(instance, state: int, rng) -> tuple:
@@ -291,37 +331,20 @@ def _lockstep_hits(instance, seed, trials, budget) -> list:
     """Hit steps of the trials numbered in `trials`, stepped together.
 
     Every live trial sits at the same stream position: one uniform for a
-    random initial state, then two per step (coin, inverse CDF).  Each
-    trial's block of BLOCK uniforms is refilled from its own stream when
-    the next step would run past it.
+    random initial state, then two per step (coin, inverse CDF).  When
+    the next step would run past the uniforms drawn so far, every live
+    trial's next `width` counters are drawn at once.  The first draw
+    takes one counter (two steps), since most trials hit early; each
+    later one doubles the width, up to WIDTH.
     """
     indptr, targets, sums = _stacked_rows(instance)
     n, p, labels = instance.n_states, instance.p, instance.labels
-    keys = trial_keys(seed, trials).tolist()
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    stream = bitgen.state
-    stream["buffer_pos"] = 4
-    philox = stream["state"] = {"counter": [0, 0, 0, 0], "key": None}
-
-    def seek(j, k):
-        # Philox counter k/4 with an empty buffer: the next draws are
-        # uniforms k.. of trial j's stream, bit for bit (k a multiple of 4)
-        philox["counter"][0] = k // 4
-        philox["key"] = keys[j]
-        bitgen.state = stream
-
-    def draw(ids, k):
-        out = np.empty((len(ids), BLOCK))
-        for row, j in zip(out, ids.tolist()):
-            seek(j, k)
-            gen.random(out=row)
-        return out
-
+    keys = trial_keys(seed, trials)
     count = len(trials)
     hits = np.full(count, -1, dtype=np.int64)
     ids = np.arange(count)     # live trials, as positions in `trials`
-    uniforms, base, pos = draw(ids, 0), 0, 0
+    width, base, pos = 1, 0, 0
+    uniforms = philox_uniforms(keys, 0, width)
     slot = np.arange(count)    # each live trial's row in `uniforms`
     if isinstance(instance.initial, Distribution):
         state = _sample_rows(indptr, targets, sums,
@@ -341,15 +364,16 @@ def _lockstep_hits(instance, seed, trials, budget) -> list:
             break
         if len(ids) <= FEW:
             # a few long runs left: a numpy pass per step costs more than
-            # scalar steps on each trial's own stream
+            # scalar steps on each trial's own stream, re-keyed at
+            # counter pos // 4 with an empty buffer
             for j, s in zip(ids.tolist(), state.tolist()):
-                seek(j, pos - pos % 4)
+                gen = np.random.Generator(np.random.Philox(counter=pos // 4, key=keys[j]))
                 gen.random(pos % 4)
                 hits[j] = _finish(instance, s, gen, i, budget)
             break
-        if pos + 2 > base + BLOCK:
-            base = pos - pos % 4
-            uniforms = draw(ids, base)
+        if pos + 2 > base + 4 * width:
+            width, base = min(2 * width, WIDTH), pos - pos % 4
+            uniforms = philox_uniforms(keys[ids], base // 4, width)
             slot = np.arange(len(ids))
         coin = uniforms[slot, pos - base]
         u = uniforms[slot, pos + 1 - base]
@@ -395,15 +419,3 @@ def tail_check(stats: HittingStats, certificate, s_values=(1.0, 2.0, 3.0)) -> di
                      "bound": bound, "sigma": sigma, "status": status})
     return {"guarantee": True, "rows": rows}
 
-
-def transition_frequencies(instance, state: int, draws: int, seed: int) -> dict:
-    """Empirical successor frequencies of repeated single steps from one
-    state, for distribution sanity checks."""
-    if draws < 1:
-        raise ValueError("draws must be positive")
-    rng = trial_stream(seed, 0)
-    counts = {}
-    for _ in range(draws):
-        nxt, _ = step(instance, state, rng)
-        counts[nxt] = counts.get(nxt, 0) + 1
-    return {s: c / draws for s, c in sorted(counts.items())}

@@ -124,6 +124,69 @@ def test_a_huge_x_fails_fast_at_the_cli(tmp_path, star9_noisy):
     assert proc.stderr.count("\n") == 1
 
 
+# Paths no leaf count bounds: a probability-1 cycle between two flawed
+# states at p = 1, a flawed self-loop whose only entry sits just below 1
+# (rows may miss 1 by ROW_TOL), and a cycle through a flawless state.
+ONE_ARC_CYCLES = {
+    "flawed pair at p = 1": (dict(
+        n_states=3, flaws=[{1, 2}], priority=[0], p=1.0, initial=1,
+        principal=[[(0, 1.0)]] * 3, noise=[[(0, 1.0)], [(2, 1.0)], [(1, 1.0)]]), 3),
+    "near-unit self-loop": (dict(
+        n_states=2, flaws=[{1}], priority=[0], p=0.0, initial=1,
+        principal=[[(0, 1.0)], [(1, 0.9999999995)]], noise=[[(0, 1.0)]] * 2), 1),
+    "through a flawless state": (dict(
+        n_states=2, flaws=[{1}], priority=[0], p=1.0, initial=1,
+        principal=[[(0, 1.0)]] * 2, noise=[[(1, 1.0)], [(0, 1.0)]]), 3),
+}
+
+
+@pytest.mark.parametrize("case", ONE_ARC_CYCLES)
+def test_one_arc_cycles_exit_2_at_the_cli(tmp_path, case):
+    from flawchain.fileio import save
+    spec, x = ONE_ARC_CYCLES[case]
+    path = tmp_path / "cycle.json"
+    save(validate_instance(**spec), path)
+    script = textwrap.dedent(f"""
+        import resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from flawchain.cli import main
+        start = time.perf_counter()
+        code = main(["tree", {str(path)!r}, "--x", "{x}", "--cap", "100"])
+        print(time.perf_counter() - start)
+        sys.exit(code)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert float(proc.stdout) < 1.0
+    assert proc.stderr.startswith("flawchain tree: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_one_arc_cycles_fail_before_the_walk():
+    pair, near, flawless = (validate_instance(**spec)
+                            for spec, _ in ONE_ARC_CYCLES.values())
+    with pytest.raises(ModelError, match=r"never reaches the stratum: states "
+                                         r"1 -> 2 -> 1 repeat with probability 1.0 per lap"):
+        truncated_tree(pair, 3, cap=100)
+    with pytest.raises(ModelError, match=r"states 1 -> 0 -> 1 repeat"):
+        truncated_tree(flawless, 3)
+    # a lap keeps 1 - 5e-10 of the mass: about 1.4e9 laps to one bit down
+    with pytest.raises(CapExceeded, match=r"leaf cap 100 exceeded \(states "
+                                          r"1 -> 1 repeat for about 1.39e\+09 laps"):
+        truncated_tree(near, 1, cap=100)
+    # a cycle entered just above the stratum needs few laps and is walked
+    tree = truncated_tree(near, 1e-9, cap=100)
+    assert not tree.absorbed.any()
+    assert repr(tree.leaves) == repr(tuple(dfs_tree(near, 1e-9, cap=100)))
+    assert [leaf.prefix for leaf in tree.leaves] == [(1, 1, 1)]
+    # trees that stop short of a cycle are unaffected
+    assert truncated_tree(pair, 0).n_leaves == 1
+    spec = dict(ONE_ARC_CYCLES["flawed pair at p = 1"][0], initial=0)
+    assert truncated_tree(validate_instance(**spec), 3).absorbed.tolist() == [True]
+
+
 # ------------------------------------------------- the depth-first oracle
 
 XS = (0, 0.5, 1, 3.5, 8, 12)

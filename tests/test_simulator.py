@@ -5,9 +5,10 @@ import pytest
 
 from flawchain import (Distribution, HittingStats, NoiseModel, attach_noise,
                        build_certificate, gen_coloring, gen_random, monte_carlo,
-                       run, step, tail_check, trial_stream,
-                       transition_frequencies, validate_instance)
-from flawchain.simulator import _sample_rows, _stacked_rows, running_sums, trial_keys
+                       run, step, tail_check, trial_stream, validate_instance)
+from flawchain import simulator
+from flawchain.simulator import (_sample_rows, _stacked_rows, philox_uniforms,
+                                 running_sums, trial_keys)
 
 from oracles import star_mean_hit, star_tail
 
@@ -213,6 +214,49 @@ def test_trial_keys_equal_numpy_seed_sequence():
         assert trial_keys(seed, trials).tolist() == want
 
 
+def test_philox_uniforms_equal_the_trial_streams():
+    trials = [0, 1, 2**32, 2**40 + 3]
+    for seed in (0, 1, 2**32 - 1, 2**64 + 5, 2**100 - 17):
+        keys = trial_keys(seed, trials)
+        for counter in (0, 1, 7, 2**20):
+            want = []
+            for t in trials:
+                rng = trial_stream(seed, t)
+                rng.random(4 * counter)
+                want.append(rng.random(4 * 32).tolist())
+            for width in (1, 2, 3, 8, 32):
+                got = philox_uniforms(keys, counter, width)
+                assert got.shape == (len(trials), 4 * width)
+                assert got.tolist() == [row[:4 * width] for row in want]
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_batched_hits_across_the_refill_doublings(star9, theta):
+    # the refills cover steps 1-2, 3-6, 7-14 and 15-30; a random initial
+    # state takes one uniform first, so every later one sits at an odd
+    # position and the refills cover steps 1, 2-3, 4-9 and 10-23
+    inst = attach_noise(_theta_star(star9) if theta else star9,
+                        NoiseModel.point(0), 0.8)
+    stats = _assert_batched_hits_replay(inst, 2000, 13, 60)
+    edges = {1, 2, 3, 4, 9, 10} if theta else {2, 3, 6, 7, 14, 15}
+    assert edges <= set(stats.hits)
+
+
+def test_refills_double_their_width_up_to_the_cap(star9, monkeypatch):
+    draws = []
+
+    def recorded(keys, counter, width):
+        draws.append((len(keys), counter, width))
+        return philox_uniforms(keys, counter, width)
+
+    monkeypatch.setattr(simulator, "philox_uniforms", recorded)
+    pure = attach_noise(star9, NoiseModel.point(0), 1.0)   # never hits
+    assert monte_carlo(pure, trials=20, seed=3, budget=200).censored == 20
+    # 200 steps take 400 uniforms, 100 counters
+    assert draws == [(20, 0, 1), (20, 1, 2), (20, 3, 4), (20, 7, 8),
+                     (20, 15, 16), (20, 31, 32), (20, 63, 32), (20, 95, 32)]
+
+
 def test_running_sums_equal_sample_accumulation(star9, star9_noisy, triangle3, path2):
     instances = [star9, star9_noisy, triangle3, path2, _theta_star(star9)]
     instances += [gen_random(12, 3, seed=seed, p=0.4,
@@ -312,14 +356,6 @@ def test_sorted_hits_match_the_per_t_scan(seed):
 def test_mean_hit_nan_when_everything_censored():
     stats = HittingStats(trials=2, seed=0, budget=5, hits=(None, None))
     assert math.isnan(stats.mean_hit())
-
-
-def test_transition_frequencies_match_the_row(star9_noisy):
-    freqs = transition_frequencies(star9_noisy, 0, draws=20_000, seed=3)
-    for target, pr in star9_noisy.principal_row(0).support:
-        want = 0.8 * pr + (0.2 if target == 0 else 0.0)
-        sigma = math.sqrt(want * (1 - want) / 20_000)
-        assert freqs[target] == pytest.approx(want, abs=4 * sigma)
 
 
 # --------------------------------------------------------------- tail check
