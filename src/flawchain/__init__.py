@@ -11,18 +11,16 @@ probability-stratified process trees.
 __version__ = "0.1.0"
 
 from .core import (Distribution, ExplicitInstance, ImplicitInstance, Kernel,
-                   ModelError, ModelWarning, addressed_flaw, arc_bound,
-                   binary_entropy, instance_violations, mixed_row,
-                   present_flaws, require_explicit, shannon_entropy,
-                   validate_instance)
-from .analyzer import (CausalityGraph, Congestion, FlawProfile, LabeledArc,
+                   ModelError, ModelWarning, arc_bound, binary_entropy,
+                   require_explicit, shannon_entropy, validate_instance)
+from .analyzer import (CausalityGraph, Congestion, FlawProfile,
                        causality_graph, congestion, flaw_profiles,
-                       global_noise_bits, global_principal_bits, labeled_arcs,
-                       max_delta, neighborhood, potential, q_of_p)
+                       global_noise_bits, global_principal_bits, max_delta,
+                       neighborhood, q_of_p)
 from .certifier import (AuditReport, Certificate, ConditionReport,
-                        SetFunctions, amenability_check, build_certificate,
-                        certify, condition_report, inequality_audit,
-                        lambda_search, uniform_noiseless_check)
+                        build_certificate, certify, condition_report,
+                        inequality_audit, lambda_search,
+                        uniform_noiseless_check)
 from .simulator import (HittingStats, Trajectory, monte_carlo, run, step,
                         tail_check, trial_stream)
 from .forensics import (Bits, BreakSequence, ForensicsError, break_sets,

@@ -22,8 +22,6 @@ from .core import (binary_entropy, map_values, mixed_flawed, require_explicit,
 PRINCIPAL = "principal"
 NOISE = "noise"
 
-LabeledArc = namedtuple("LabeledArc", "source target label")
-
 Congestion = namedtuple("Congestion", "count bits unreached")
 
 
@@ -36,7 +34,10 @@ def _kernel(instance, which):
 
 
 def _arcs(instance, which):
-    """(source, target, label) arrays of the arcs `labeled_arcs` lists."""
+    """(source, target, label) arrays of the chosen kernel's arcs leaving
+    flawed states, labeled by the addressed flaw.  Flawless states
+    contribute nothing, and the noise kernel contributes nothing at
+    p = 0 (it is never followed)."""
     kernel = _kernel(instance, which)
     if which == NOISE and instance.p == 0.0:
         none = np.zeros(0, dtype=np.int64)
@@ -47,15 +48,6 @@ def _arcs(instance, which):
     return sources, kernel.indices[live], instance.labels[sources]
 
 
-def labeled_arcs(instance, which: str) -> list:
-    """Arcs of the chosen kernel leaving flawed states, labeled by the
-    addressed flaw.  Flawless states contribute nothing, and the noise
-    kernel contributes nothing at p = 0 (it is never followed)."""
-    require_explicit(instance, "labeled_arcs")
-    return [LabeledArc(*arc) for arc in
-            zip(*(a.tolist() for a in _arcs(instance, which)))]
-
-
 @dataclass(frozen=True)
 class CausalityGraph:
     """Directed graph on flaw indices: i -> j when addressing f_i can
@@ -64,9 +56,6 @@ class CausalityGraph:
     which: str
     m: int
     edges: tuple  # per flaw: frozenset of successor flaw indices
-
-    def targets(self, i: int) -> frozenset:
-        return self.edges[i]
 
     def edge_list(self) -> list:
         return [(i, j) for i in range(self.m) for j in sorted(self.edges[i])]
@@ -112,16 +101,6 @@ def _potentials(instance) -> list:
     best = np.full(instance.m, math.inf)
     np.minimum.at(best, instance.labels[states], entropy)
     return best.tolist()
-
-
-def potential(instance, flaw: int) -> float:
-    """Least mixed-row entropy over states addressing `flaw`.
-
-    +inf when no state addresses the flaw: the certificate terms of an
-    unaddressed flaw vanish, matching the empty-min convention.
-    """
-    require_explicit(instance, "potential")
-    return _potentials(instance)[flaw]
 
 
 def congestion(instance, flaw: int, which: str, addressed_only: bool = False) -> Congestion:

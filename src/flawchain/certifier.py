@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import (flaw_profiles, global_noise_bits, global_principal_bits,
-                       max_delta, q_of_p)
+                       max_delta)
 from .core import ModelError, arc_bound, binary_entropy, require_explicit
 
 STRICT_TOL = 1e-9       # slack demanded of every strict inequality
@@ -80,11 +80,6 @@ def condition_report(profiles, p: float, lam: float = 1.0,
     slack = 0.0 if not rows else worst
     return ConditionReport(lam=lam, p=p, threshold=threshold, rows=tuple(rows),
                            ok=ok, slack=slack)
-
-
-def amenability_check(profiles, p: float, tol: float = STRICT_TOL) -> ConditionReport:
-    """The certificate condition proper (lambda = 1)."""
-    return condition_report(profiles, p, lam=1.0, tol=tol)
 
 
 def lambda_search(profiles, p: float, tol: float = LAMBDA_TOL,
@@ -165,7 +160,7 @@ def build_certificate(instance, profiles=None, lam=None,
         raise ModelError("certification requires a mix probability below 1")
     if profiles is None:
         profiles = flaw_profiles(instance)
-    condition = amenability_check(profiles, instance.p, tol)
+    condition = condition_report(profiles, instance.p, 1.0, tol)
     if not condition.ok:
         raise ModelError("instance is not certified: the neighborhood "
                          "condition fails at lambda = 1")
@@ -201,49 +196,10 @@ def certify(instance, lam=None, tol: float = STRICT_TOL):
     if instance.p >= 1.0:
         raise ModelError("certification requires a mix probability below 1")
     profiles = flaw_profiles(instance)
-    condition = amenability_check(profiles, instance.p, tol)
+    condition = condition_report(profiles, instance.p, 1.0, tol)
     if not condition.ok:
         return condition, None
     return condition, build_certificate(instance, profiles, lam=lam, tol=tol)
-
-
-@dataclass(frozen=True)
-class SetFunctions:
-    """Additive set costs over flaw subsets, at a fixed passing lambda."""
-
-    profiles: tuple
-    p: float
-    lam: float
-
-    def _pick(self, flaw_set):
-        by_index = {pf.index: pf for pf in self.profiles}
-        return [by_index[i] for i in sorted(flaw_set)]
-
-    def info_principal(self, flaw_set) -> float:
-        return sum(pf.b_pr for pf in self._pick(flaw_set))
-
-    def info_noise(self, flaw_set) -> float:
-        return len(set(flaw_set)) * global_noise_bits(self.profiles)
-
-    def info(self, flaw_set) -> float:
-        return ((1.0 - self.p) * self.info_principal(flaw_set)
-                + self.p * self.info_noise(flaw_set))
-
-    def charge(self, flaw_set) -> float:
-        return sum(pf.q for pf in self._pick(flaw_set))
-
-    def offset(self, flaw_set) -> float:
-        """g(S) = (p * (2 + h(p)) * |S| + q(S)) / lambda."""
-        k = len(set(flaw_set))
-        return (self.p * (2.0 + binary_entropy(self.p)) * k
-                + self.charge(flaw_set)) / self.lam
-
-    def potential_sum(self, flaw_set) -> float:
-        return sum(pf.potential for pf in self._pick(flaw_set))
-
-    def discounted_potential(self, flaw_set) -> float:
-        """Potential(S) - g(S); nonnegative whenever lambda passes."""
-        return self.potential_sum(flaw_set) - self.offset(flaw_set)
 
 
 def _binary_entropy_vec(p):

@@ -81,8 +81,12 @@ def _cmd_gen(args) -> int:
     elif args.family == "coloring":
         edges = []
         for part in args.edges.split(","):
-            u, v = part.split("-")
-            edges.append((int(u), int(v)))
+            try:
+                u, v = (int(x) for x in part.split("-"))
+            except ValueError:
+                raise ModelError(f"bad edge {part!r} in --edges: expected U-V "
+                                 f"with integer vertices U and V") from None
+            edges.append((u, v))
         inst = gen_coloring(edges, args.q, explicit=True)
     elif args.family == "ksat":
         clauses = [[int(tok) for tok in c.split()] for c in args.clause]

@@ -91,9 +91,6 @@ class Distribution:
     def probs(self) -> tuple:
         return tuple(pr for _, pr in self.support)
 
-    def total(self) -> float:
-        return sum(pr for _, pr in self.support)
-
     def entropy(self) -> float:
         return shannon_entropy(self.support)
 
@@ -221,6 +218,25 @@ class Kernel:
             order = np.lexsort((probs, targets, rows))
             targets, probs = targets[order], probs[order]
         return cls(indptr, targets, probs)
+
+    @classmethod
+    def from_rows(cls, n, sources, lengths, targets, probs) -> "Kernel":
+        """Kernel of n states: the rows of `sources` (distinct states, in
+        any order), whose entry runs lie in `targets` and `probs` in that
+        order, and a unit self-loop at every other state.  Rows are sorted
+        as `from_entries` sorts them."""
+        sources = np.asarray(sources, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        row_len = np.ones(n, dtype=np.int64)
+        row_len[sources] = lengths
+        all_targets = np.repeat(np.arange(n), row_len)
+        all_probs = np.ones(len(all_targets))
+        starts = np.cumsum(row_len) - row_len
+        pos = (np.repeat(starts[sources] - (np.cumsum(lengths) - lengths), lengths)
+               + np.arange(lengths.sum()))
+        all_targets[pos] = targets
+        all_probs[pos] = probs
+        return cls.from_entries(row_len, all_targets, all_probs)
 
     @cached_property
     def lengths(self):
@@ -439,43 +455,13 @@ def _strides(widths):
     return tuple(reversed(strides))
 
 
-def present_flaws(instance, state: int) -> tuple:
-    """Indices of the flaws containing `state`, ascending."""
-    return instance.present(state)
-
-
-def addressed_flaw(instance, state: int):
-    """Highest-priority present flaw at `state`, or None when flawless."""
-    return instance.addressed(state)
-
-
-def mixed_row(instance, state: int) -> Distribution:
-    """The step distribution (1-p) * principal + p * noise at `state`.
-
-    Degenerate mixes short-circuit: p = 0 returns the principal row
-    unchanged and p = 1 the noise row, so supports never carry zero-mass
-    entries.
-    """
-    p = instance.p
-    if p == 0.0:
-        return instance.principal_row(state)
-    noise = instance.noise_row(state)
-    if p == 1.0:
-        return noise
-    acc = {}
-    for s, pr in instance.principal_row(state).support:
-        acc[s] = (1.0 - p) * pr
-    for s, pr in noise.support:
-        acc[s] = acc.get(s, 0.0) + p * pr
-    return Distribution(tuple(sorted(acc.items())))
-
-
 def mixed_rows(instance, states):
     """Mixed rows of `states`, as (indptr, targets, probs) arrays.
 
-    Row k belongs to states[k].  Entries are combined exactly as
-    `mixed_row` combines them, so each probability equals the row
-    view's bit for bit.
+    Row k belongs to states[k]: (1 - p) * principal + p * noise, with
+    each target's principal term first.  Degenerate mixes take one
+    kernel's rows as they are, so supports never carry zero-mass
+    entries.
     """
     p = instance.p
     if p == 0.0 or p == 1.0:
@@ -567,30 +553,12 @@ def explicit_cap() -> int:
     return env_cap("FLAWCHAIN_EXPLICIT_CAP", DEFAULT_EXPLICIT_CAP)
 
 
-def validate_instance(n_states, flaws, priority, principal, noise, p, initial,
-                      flaw_names=None, widths=None) -> ExplicitInstance:
-    """Normalize and check an explicit instance description.
-
-    `flaws` lists each flaw's member states, or is a boolean state x flaw
-    membership matrix.  `principal` and `noise` are Kernels, or map (or
-    list, indexed by state) each state to an iterable of (target,
-    probability) pairs.  Raises ModelError with the full violation list;
-    use `instance_violations` to collect without raising.  Normalization
-    sorts every row support by state index, which is the canonical form
-    the seeded sampler relies on.
-    """
-    instance, problems = _build(n_states, flaws, priority, principal, noise,
-                                p, initial, flaw_names, widths)
-    if problems:
-        raise ModelError(problems)
-    return instance
-
-
-def instance_violations(n_states, flaws, priority, principal, noise, p, initial,
-                        flaw_names=None, widths=None) -> list:
-    _, problems = _build(n_states, flaws, priority, principal, noise, p,
-                         initial, flaw_names, widths)
-    return problems
+def check_explicit_cap(n: int) -> None:
+    """Refuse n states above the explicit cap, before anything is built."""
+    cap = explicit_cap()
+    if n > cap:
+        raise ModelError(f"{n} states exceed the explicit cap {cap} "
+                         f"(FLAWCHAIN_EXPLICIT_CAP)")
 
 
 def addressed_labels(member, priority):
@@ -623,19 +591,20 @@ def _membership(flaws, n, names, problems):
 def _kernel_from_rows(rows, n):
     """Kernel of a row mapping or list, plus the states it has no row for
     (those hold a unit self-loop placeholder)."""
-    missing, lengths, targets, probs = [], [], [], []
+    sources, missing, lengths, targets, probs = [], [], [], [], []
     for s in range(n):
         try:
             pairs = rows[s]
         except (KeyError, IndexError):
             missing.append(s)
-            pairs = ((s, 1.0),)
+            continue
+        sources.append(s)
         before = len(targets)
         for t, pr in pairs:
             targets.append(int(t))
             probs.append(float(pr))
         lengths.append(len(targets) - before)
-    return Kernel.from_entries(lengths, targets, probs), missing
+    return Kernel.from_rows(n, sources, lengths, targets, probs), missing
 
 
 def _kernel_problems(kernel, n, label, missing=()) -> dict:
@@ -678,12 +647,21 @@ def _unit_self_loops(kernel):
             & (kernel.probs[first] == 1.0))
 
 
-def _build(n_states, flaws, priority, principal, noise, p, initial,
-           flaw_names, widths):
+def validate_instance(n_states, flaws, priority, principal, noise, p, initial,
+                      flaw_names=None, widths=None) -> ExplicitInstance:
+    """Normalize and check an explicit instance description.
+
+    `flaws` lists each flaw's member states, or is a boolean state x flaw
+    membership matrix.  `principal` and `noise` are Kernels, or map (or
+    list, indexed by state) each state to an iterable of (target,
+    probability) pairs.  Raises ModelError whose `violations` list every
+    problem found.  Normalization sorts every row support by state index,
+    which is the canonical form the seeded sampler relies on.
+    """
     problems = []
     n = int(n_states)
     if n < 1:
-        return None, [f"state count {n} must be positive"]
+        raise ModelError(f"state count {n} must be positive")
     if widths is not None:
         widths = tuple(int(w) for w in widths)
         if math.prod(widths) != n:
@@ -700,7 +678,7 @@ def _build(n_states, flaws, priority, principal, noise, p, initial,
         problems.append("duplicate flaw names")
     member = _membership(flaws, n, names, problems)
     for i in np.flatnonzero(~member.any(axis=0)).tolist():
-        warnings.warn(f"flaw {names[i]} is empty", ModelWarning, stacklevel=3)
+        warnings.warn(f"flaw {names[i]} is empty", ModelWarning, stacklevel=2)
 
     priority = tuple(int(i) for i in priority)
     if sorted(priority) != list(range(m)):
@@ -714,8 +692,8 @@ def _build(n_states, flaws, priority, principal, noise, p, initial,
         if not isinstance(kernel, Kernel):
             kernel, missing = _kernel_from_rows(kernel, n)
         elif len(kernel) != n:
-            return None, problems + [f"{label} kernel has {len(kernel)} rows "
-                                     f"for {n} states"]
+            raise ModelError(problems + [f"{label} kernel has {len(kernel)} "
+                                         f"rows for {n} states"])
         found = _kernel_problems(kernel, n, label, missing)
         problems.extend(msg for s in sorted(found) for msg in found[s])
         kernels.append((kernel, found))
@@ -741,10 +719,9 @@ def _build(n_states, flaws, priority, principal, noise, p, initial,
         if initial < 0 or initial >= n:
             problems.append(f"initial state {initial} outside 0..{n - 1}")
 
-    instance = None
-    if not problems:
-        instance = ExplicitInstance(
-            n_states=n, member=member, labels=labels, priority=priority,
-            principal=principal, noise=noise, p=p, initial=initial,
-            flaw_names=tuple(names), widths=widths)
-    return instance, problems
+    if problems:
+        raise ModelError(problems)
+    return ExplicitInstance(
+        n_states=n, member=member, labels=labels, priority=priority,
+        principal=principal, noise=noise, p=p, initial=initial,
+        flaw_names=tuple(names), widths=widths)

@@ -42,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .core import (Distribution, ExplicitInstance, Kernel, ModelError,
-                   explicit_cap, require_explicit, validate_instance)
+                   check_explicit_cap, require_explicit, validate_instance)
 
 FORMAT = "flawchain-instance-v1"
 _KERNELS = ("noise", "principal")
@@ -251,10 +251,7 @@ def _state_count(states):
         n = _integer(states, "states")
     if n < 1:
         raise ModelError(f"state count {n} must be positive")
-    cap = explicit_cap()
-    if n > cap:
-        raise ModelError(f"{n} states exceed the explicit cap {cap} "
-                         f"(FLAWCHAIN_EXPLICIT_CAP)")
+    check_explicit_cap(n)
     return n, widths
 
 
@@ -285,24 +282,7 @@ def _kernel_in(entries, n, label) -> Kernel:
     if len(repeated):
         raise ModelError(f"{label} has more than one row for states "
                          f"{repeated.tolist()}")
-    given = np.zeros(n, dtype=bool)
-    given[sources] = True
-    # unit self-loops where no row is given; each given row goes to its slot
-    row_len = np.ones(n, dtype=np.int64)
-    row_len[sources] = lengths
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_len, out=indptr[1:])
-    all_targets = np.empty(indptr[-1], dtype=np.int64)
-    all_probs = np.empty(indptr[-1])
-    defaults = np.flatnonzero(~given)
-    all_targets[indptr[defaults]] = defaults
-    all_probs[indptr[defaults]] = 1.0
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    pos = np.repeat(indptr[sources] - starts, lengths) + np.arange(len(targets))
-    all_targets[pos] = targets
-    all_probs[pos] = probs
-    return Kernel.from_entries(row_len, all_targets, all_probs)
+    return Kernel.from_rows(n, sources, lengths, targets, probs)
 
 
 _KEYS = ("flaws", "format", "initial", "noise", "p", "principal", "priority",

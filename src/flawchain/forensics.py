@@ -80,9 +80,6 @@ class Bits:
     def __iter__(self):
         return iter(self.bits)
 
-    def __add__(self, other) -> "Bits":
-        return Bits(self.bits + other.bits)
-
 
 def witness(trajectory) -> tuple:
     """Addressed flaws over the bad prefix, w_1..w_Z.  Empty when the

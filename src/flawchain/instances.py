@@ -1,10 +1,12 @@
 """Canonical instance families and noise models.
 
-Generators build the explicit flavor whenever the state count fits the
-cap (FLAWCHAIN_EXPLICIT_CAP, default 2^16) and fall back to the implicit
-flavor otherwise.  The explicit flavor builds every row at once with
-array code that reproduces the implicit flavor's per-state rows exactly,
-so seeded trajectories agree state for state.
+Coloring and k-SAT build the explicit flavor whenever the state count
+fits the cap (FLAWCHAIN_EXPLICIT_CAP, default 2^16) and fall back to the
+implicit flavor otherwise; the other families are explicit only and
+refuse a state count above the cap before building any row.  The
+explicit flavor builds every row at once with array code that
+reproduces the implicit flavor's per-state rows exactly, so seeded
+trajectories agree state for state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .core import (Distribution, ExplicitInstance, ImplicitInstance, Kernel,
                    ModelError, ModelWarning, _strides, addressed_labels,
-                   explicit_cap, validate_instance)
+                   check_explicit_cap, explicit_cap, validate_instance)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,7 @@ def gen_star(k: int) -> ExplicitInstance:
         raise ModelError(f"a star needs at least 2 spokes, got {k}: the "
                          f"single arc would carry probability 1")
     n = k + 1
+    check_explicit_cap(n)
     principal = {0: [(t, 1.0 / k) for t in range(1, n)]}
     for s in range(1, n):
         principal[s] = [(s, 1.0)]
@@ -150,32 +153,23 @@ def _resample_row(values, var_indices, widths, strides):
 def _resample_kernel(columns, labels, flaw_vars, widths, strides):
     """Principal kernel of every state at once: `_resample_row` of the
     addressed flaw's variables, unit self-loops at flawless states."""
-    n = len(labels)
-    offsets, lengths = [], np.ones(n, dtype=np.int64)
+    sources, lengths, targets, probs = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
     for f, var_indices in enumerate(flaw_vars):
         grid = np.zeros(1, dtype=np.int64)
         for i in var_indices:
             grid = np.add.outer(grid, np.arange(widths[i]) * strides[i]).ravel()
-        offsets.append(np.sort(grid))
-        lengths[labels == f] = len(grid)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    targets = np.empty(indptr[-1], dtype=np.int64)
-    probs = np.empty(indptr[-1])
-    flawless = np.flatnonzero(labels < 0)
-    targets[indptr[flawless]] = flawless
-    probs[indptr[flawless]] = 1.0
-    for f, var_indices in enumerate(flaw_vars):
         states = np.flatnonzero(labels == f)
         base = states - sum(columns[i][states] * strides[i] for i in var_indices)
-        pos = indptr[states][:, None] + np.arange(len(offsets[f]))
-        targets[pos] = base[:, None] + offsets[f]
-        probs[pos] = 1.0 / len(offsets[f])
-    return Kernel(indptr, targets, probs)
+        sources.append(states)
+        lengths.append(np.full(len(states), len(grid)))
+        targets.append((base[:, None] + np.sort(grid)).ravel())
+        probs.append(np.full(len(states) * len(grid), 1.0 / len(grid)))
+    return Kernel.from_rows(len(labels), *(np.concatenate(parts) for parts in
+                                           (sources, lengths, targets, probs)))
 
 
 def _assignment_instance(widths, flaw_vars, flaw_predicates, flaw_names,
-                         initial_values, explicit, cap):
+                         initial_values, explicit):
     """Shared builder: flaws over variable assignments, principal kernel
     resampling the addressed flaw's variables uniformly.  The predicates
     take one assignment, or the value columns of every state at once."""
@@ -194,12 +188,9 @@ def _assignment_instance(widths, flaw_vars, flaw_predicates, flaw_names,
         p=0.0,
         initial=sum(v * s for v, s in zip(initial_values, strides)),
         flaw_names=flaw_names)
-    if explicit is False:
+    if explicit is False or (explicit is None and n > explicit_cap()):
         return implicit
-    if n > cap:
-        if explicit is True:
-            raise ModelError(f"{n} states exceed the explicit cap {cap}")
-        return implicit
+    check_explicit_cap(n)
 
     states = np.arange(n)
     columns = [(states // stride) % width for stride, width in zip(strides, widths)]
@@ -215,12 +206,11 @@ def _assignment_instance(widths, flaw_vars, flaw_predicates, flaw_names,
         initial=implicit.initial, flaw_names=flaw_names, widths=widths)
 
 
-def gen_coloring(edges, q: int, explicit=None, cap=None):
+def gen_coloring(edges, q: int, explicit=None):
     """Graph coloring: one variable per vertex with q colors, one flaw
     per edge (present when its endpoints match), priority in the given
     edge order.  Addressing an edge recolors both endpoints uniformly.
     """
-    cap = explicit_cap() if cap is None else cap
     edges = [tuple(e) for e in edges]
     vertices = sorted({v for e in edges for v in e})
     if vertices != list(range(len(vertices))):
@@ -241,16 +231,15 @@ def gen_coloring(edges, q: int, explicit=None, cap=None):
         flaw_predicates=[edge_pred(u, v) for u, v in edges],
         flaw_names=[f"e{u}_{v}" for u, v in edges],
         initial_values=(0,) * n_vars,
-        explicit=explicit, cap=cap)
+        explicit=explicit)
 
 
-def gen_ksat(n_vars: int, clauses, explicit=None, cap=None):
+def gen_ksat(n_vars: int, clauses, explicit=None):
     """CNF violation chasing: binary variables, one flaw per clause
     (present when the clause is falsified), priority in clause order.
     Clauses use DIMACS literals (+v true, -v false, 1-based).
     Addressing a clause resamples its variables uniformly.
     """
-    cap = explicit_cap() if cap is None else cap
     clauses = [tuple(c) for c in clauses]
     if not clauses:
         raise ModelError("at least one clause is required")
@@ -272,71 +261,46 @@ def gen_ksat(n_vars: int, clauses, explicit=None, cap=None):
         flaw_predicates=[clause_pred(c) for c in clauses],
         flaw_names=[f"c{i + 1}" for i in range(len(clauses))],
         initial_values=(0,) * n_vars,
-        explicit=explicit, cap=cap)
+        explicit=explicit)
 
 
 def gen_random(n_states: int, m: int, seed: int, p: float = 0.0,
-               noise: str = "random", density: float = 0.35,
                max_support: int = 4) -> ExplicitInstance:
     """Random explicit instance for differential testing.
 
-    Flaw memberships are Bernoulli(density) with at least one member;
+    Flaw memberships are Bernoulli(0.35) with at least one member;
     flawed states scatter over 2..max_support targets with probabilities
     bounded away from zero (keeping the arc bound small); flawless
-    states self-loop.  The noise kernel is random sparse rows, or any
-    NoiseModel kind by name.  Initial state is the lowest flawed one.
+    states self-loop.  Noise rows are random sparse rows as well, drawn
+    last, so `attach_noise` swaps in a NoiseModel and leaves the rest as
+    drawn.  Initial state is the lowest flawed one.
     """
     if n_states < 3 or m < 1:
         raise ModelError("need at least 3 states and one flaw")
+    check_explicit_cap(n_states)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     flaws = []
     for _ in range(m):
-        members = {int(s) for s in range(n_states) if rng.random() < density}
+        members = {int(s) for s in range(n_states) if rng.random() < 0.35}
         if not members:
             members = {int(rng.integers(n_states))}
         flaws.append(members)
     priority = rng.permutation(m)
+    flawed = set().union(*flaws)
 
-    flawed = sorted(set().union(*flaws))
-
-    def sparse_row(home, allow_home=True):
+    def sparse_row():
         size = int(rng.integers(2, min(max_support, n_states) + 1))
-        pool = list(range(n_states)) if allow_home else \
-            [t for t in range(n_states) if t != home]
-        targets = sorted(int(t) for t in rng.choice(pool, size=size, replace=False))
+        targets = sorted(int(t) for t in rng.choice(n_states, size=size, replace=False))
         weights = 0.25 + 0.75 * rng.random(size)
         weights = weights / weights.sum()
         return list(zip(targets, (float(w) for w in weights)))
 
-    principal = {}
-    for s in range(n_states):
-        if s in set(flawed):
-            principal[s] = sparse_row(s)
-        else:
-            principal[s] = [(s, 1.0)]
-
-    if noise == "random":
-        noise_rows = {s: sparse_row(s) for s in range(n_states)}
-    else:
-        noise_rows = None
-
-    inst = validate_instance(
-        n_states=n_states, flaws=flaws, priority=priority,
-        principal=principal,
-        noise=noise_rows if noise_rows is not None
-        else {s: [(s, 1.0)] for s in range(n_states)},
-        p=p, initial=flawed[0] if flawed else 0)
-    if noise != "random":
-        if noise == "point":
-            model = NoiseModel.point(0)
-        elif noise == "greedy":
-            model = NoiseModel.greedy_adversarial()
-        elif noise in ("selfloop", "uniform"):
-            model = getattr(NoiseModel, noise)()
-        else:
-            raise ModelError(f"unknown noise name {noise!r} for gen_random")
-        inst = attach_noise(inst, model, p)
-    return inst
+    principal = {s: sparse_row() if s in flawed else [(s, 1.0)]
+                 for s in range(n_states)}
+    noise = {s: sparse_row() for s in range(n_states)}
+    return validate_instance(
+        n_states=n_states, flaws=flaws, priority=priority, principal=principal,
+        noise=noise, p=p, initial=min(flawed))
 
 
 def gen_uniform_singletons(n_states: int, m: int, seed: int,
@@ -351,6 +315,7 @@ def gen_uniform_singletons(n_states: int, m: int, seed: int,
     """
     if m >= n_states:
         raise ModelError("need more states than flaws")
+    check_explicit_cap(n_states)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     homes = sorted(int(s) for s in rng.choice(n_states, size=m, replace=False))
     flaws = [{s} for s in homes]

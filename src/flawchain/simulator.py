@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Distribution, ModelError
+from .core import Distribution
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -163,7 +163,7 @@ class Trajectory:
     seed: int
     trial: int
     states: tuple
-    flaws: tuple   # addressed flaw per executed step (None past the hit)
+    flaws: tuple   # addressed flaw per executed step
     noise: tuple   # noise flag per executed step
     terminal: str  # "flawless_hit" | "budget_exhausted"
     z: int
@@ -174,14 +174,12 @@ class Trajectory:
         return len(self.flaws)
 
 
-def run(instance, seed: int, max_steps: int, continue_after: bool = False,
-        trial: int = 0) -> Trajectory:
+def run(instance, seed: int, max_steps: int, trial: int = 0) -> Trajectory:
     """Run one trajectory from the instance's initial state.
 
-    Stops at the first flawless state unless `continue_after` keeps
-    stepping to the budget (the hit index is recorded either way).  A run
-    that never sees a flawless state within `max_steps` steps is
-    censored: its observed prefix is entirely bad.
+    Stops at the first flawless state.  A run that never sees a flawless
+    state within `max_steps` steps is censored: its observed prefix is
+    entirely bad.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
@@ -193,22 +191,17 @@ def run(instance, seed: int, max_steps: int, continue_after: bool = False,
     states = [state]
     flaws = []
     noise = []
-    hit = None
-    for i in range(max_steps):
+    for _ in range(max_steps):
         current = states[-1]
         if instance.is_flawless(current):
-            if hit is None:
-                hit = i
-            if not continue_after:
-                break
+            break
         nxt, flag = step(instance, current, rng)
         flaws.append(instance.addressed(current))
         noise.append(flag)
         states.append(nxt)
-    if hit is None and instance.is_flawless(states[-1]):
-        hit = len(flaws)
+    hit = len(flaws) if instance.is_flawless(states[-1]) else None
     terminal = "flawless_hit" if hit is not None else "budget_exhausted"
-    z = hit if hit is not None else len(flaws)
+    z = len(flaws)
     return Trajectory(instance=instance, seed=seed, trial=trial,
                       states=tuple(states), flaws=tuple(flaws),
                       noise=tuple(noise), terminal=terminal, z=z,

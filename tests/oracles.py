@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from flawchain.core import Distribution
+
 
 # ---------------------------------------------------------------- structure
 
@@ -41,6 +43,29 @@ def mixed_support(instance, state):
         for t, pr in instance.noise[state].support:
             out[t] = out.get(t, 0.0) + p * pr
     return out
+
+
+def mixed_row(instance, state):
+    """The step distribution (1-p) * principal + p * noise at `state`,
+    merged one row at a time in the float arithmetic `core.mixed_rows`
+    must reproduce.
+
+    Degenerate mixes short-circuit: p = 0 returns the principal row
+    unchanged and p = 1 the noise row, so supports never carry zero-mass
+    entries.
+    """
+    p = instance.p
+    if p == 0.0:
+        return instance.principal_row(state)
+    noise = instance.noise_row(state)
+    if p == 1.0:
+        return noise
+    acc = {}
+    for s, pr in instance.principal_row(state).support:
+        acc[s] = (1.0 - p) * pr
+    for s, pr in noise.support:
+        acc[s] = acc.get(s, 0.0) + p * pr
+    return Distribution(tuple(sorted(acc.items())))
 
 
 def entropy_bits(probs):

@@ -4,9 +4,9 @@ import pytest
 
 from flawchain import (ModelError, NoiseModel, attach_noise, causality_graph,
                        congestion, flaw_profiles, gen_random,
-                       global_noise_bits, global_principal_bits, labeled_arcs,
-                       max_delta, neighborhood, potential, q_of_p,
-                       validate_instance)
+                       global_noise_bits, global_principal_bits, max_delta,
+                       neighborhood, q_of_p, validate_instance)
+from flawchain.analyzer import _arcs
 
 from oracles import analysis_mismatches, brute_congestion, entropy_bits
 
@@ -18,25 +18,34 @@ def _selfloops(n):
     return {s: [(s, 1.0)] for s in range(n)}
 
 
+def _arc_list(instance, which):
+    """The analyzer's (source, target, label) arcs as a list of triples."""
+    return list(zip(*(a.tolist() for a in _arcs(instance, which))))
+
+
+def _potential(instance, flaw):
+    return flaw_profiles(instance)[flaw].potential
+
+
 # ------------------------------------------------------------ labeled arcs
 
 
 def test_star_principal_arcs(star9):
-    arcs = labeled_arcs(star9, PR)
+    arcs = _arc_list(star9, PR)
     assert sorted(arcs) == [(0, t, 0) for t in range(1, 9)]
 
 
 def test_noise_arcs_dead_at_p_zero(star9):
-    assert labeled_arcs(star9, NS) == []
+    assert _arc_list(star9, NS) == []
 
 
 def test_noisy_star_noise_arcs_exclude_flawless_sources(star9_noisy):
     # spokes also have noise rows, but carry no label
-    assert labeled_arcs(star9_noisy, NS) == [(0, 0, 0)]
+    assert _arc_list(star9_noisy, NS) == [(0, 0, 0)]
 
 
 def test_triangle_every_flawed_state_emits_nine_arcs(triangle3):
-    arcs = labeled_arcs(triangle3, PR)
+    arcs = _arc_list(triangle3, PR)
     flawed = [s for s in triangle3.states() if not triangle3.is_flawless(s)]
     assert len(arcs) == 9 * len(flawed)
     by_source = {}
@@ -48,7 +57,7 @@ def test_triangle_every_flawed_state_emits_nine_arcs(triangle3):
 
 def test_labeled_arcs_rejects_unknown_kernel(star9):
     with pytest.raises(ValueError):
-        labeled_arcs(star9, "mixed")
+        _arc_list(star9, "mixed")
 
 
 # -------------------------------------------------------- causality graphs
@@ -90,9 +99,9 @@ def test_to_dot_mentions_every_edge(triangle3):
 
 
 def test_star_potentials(star9, star9_noisy):
-    assert potential(star9, 0) == pytest.approx(3.0)
+    assert _potential(star9, 0) == pytest.approx(3.0)
     want = entropy_bits([0.2] + [0.1] * 8)
-    assert potential(star9_noisy, 0) == pytest.approx(want, abs=1e-12)
+    assert _potential(star9_noisy, 0) == pytest.approx(want, abs=1e-12)
     assert abs(want - 3.121928094887362) < 1e-12   # frozen
 
 
@@ -103,7 +112,7 @@ def test_unaddressed_flaw_has_infinite_potential():
         principal={1: [(0, 0.5), (1, 0.5)], 2: [(0, 0.5), (2, 0.5)],
                    0: [(0, 1.0)]},
         noise=_selfloops(3), p=0.0, initial=1)
-    assert potential(inst, 1) == math.inf
+    assert _potential(inst, 1) == math.inf
     pf = flaw_profiles(inst)[1]
     assert pf.potential == math.inf
     assert pf.amenability == math.inf
@@ -118,7 +127,7 @@ def test_potential_dominates_principal_entropy_floor(star9_noisy, triangle3):
                         default=math.inf)
             if floor == math.inf:
                 continue
-            assert potential(inst, i) >= (1 - inst.p) * floor - 1e-9
+            assert _potential(inst, i) >= (1 - inst.p) * floor - 1e-9
 
 
 # -------------------------------------------------------------- congestion

@@ -16,12 +16,11 @@ import pytest
 from flawchain import (Distribution, Kernel, ModelError, NoiseModel,
                        arc_bound, attach_noise, certify, congestion, core,
                        flaw_profiles, gen_coloring, gen_ksat, gen_random,
-                       gen_star, gen_uniform_singletons, instance_violations,
-                       mixed_row, potential, validate_instance)
+                       gen_star, gen_uniform_singletons, validate_instance)
 from flawchain.core import ROW_TOL, _row_problems, mixed_flawed, row_sums
 from flawchain.fileio import digest, dumps, loads, to_dict
 
-from oracles import analysis_mismatches, mixed_support
+from oracles import analysis_mismatches, mixed_row, mixed_support
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 CLAUSES = [(1, -2, 3), (-1, 2, 4), (2, -3, -4), (-1, -4)]
@@ -90,7 +89,8 @@ def _instances():
         out[name] = base
         for noise, (model, p) in NOISES.items():
             out[f"{name}+{noise}"] = attach_noise(base, model, p)
-    out["random+greedy_gen"] = gen_random(10, 2, seed=3, p=0.3, noise="greedy")
+    out["random+greedy_gen"] = attach_noise(gen_random(10, 2, seed=3, p=0.3),
+                                            NoiseModel.greedy_adversarial(), 0.3)
     out["hand"] = loads(HAND)
     return out
 
@@ -151,7 +151,6 @@ def test_scalar_accessors_are_python_scalars(instances):
         pf = flaw_profiles(inst)[0]
         assert type(pf.congestion_pr) is int and type(pf.potential) is float
         assert type(congestion(inst, 0, "noise").count) is int
-        assert type(potential(inst, 0)) is float
         try:
             assert type(arc_bound(inst)) is int
         except ModelError:
@@ -226,6 +225,15 @@ def test_row_sums_reproduce_the_builtin_bit_for_bit():
 
 
 # ------------------------------------------------------------- validation
+
+
+def _violations(*args):
+    """`validate_instance`'s violation list, empty when it accepts."""
+    try:
+        validate_instance(*args)
+    except ModelError as exc:
+        return list(exc.violations)
+    return []
 
 
 def _per_row_violations(n, flaws, priority, principal, noise):
@@ -310,7 +318,7 @@ def test_vectorized_validator_matches_the_per_row_rules():
     noise[5] = list(zip(range(20), long_inside))
     del noise[7]
     want = _per_row_violations(n, flaws, priority, principal, noise)
-    got = instance_violations(n, flaws, priority, principal, noise, 0.1, 0)
+    got = _violations(n, flaws, priority, principal, noise, 0.1, 0)
     assert got == want
     text = "\n".join(got)
     assert "principal row of state 3" not in text
@@ -344,7 +352,7 @@ def test_validator_agrees_on_random_corruptions():
                     rows[s] = [(s, 1.0)]
             kernels.append(rows)
         want = _per_row_violations(n, flaws, [0, 1], *kernels)
-        got = instance_violations(n, flaws, [0, 1], *kernels, 0.3, 0)
+        got = _violations(n, flaws, [0, 1], *kernels, 0.3, 0)
         assert got == want, trial
 
 
@@ -377,11 +385,17 @@ def _brute_arc_bound(instance):
     return b
 
 
+def _gen_random(n, m, seed, p, noise):
+    """gen_random with its own random noise rows, or a NOISES model."""
+    inst = gen_random(n, m, seed=seed, p=p)
+    return inst if noise == "random" else attach_noise(inst, NOISES[noise][0], p)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_profiles_and_arc_bound_match_the_oracles(seed):
     for p, noise in ((0.0, "random"), (0.3, "random"), (0.2, "greedy"),
                      (0.6, "point"), (1.0, "point")):
-        inst = gen_random(10 + seed % 5, 1 + seed % 4, seed=seed, p=p, noise=noise)
+        inst = _gen_random(10 + seed % 5, 1 + seed % 4, seed, p, noise)
         for addressed_only in (False, True):
             assert analysis_mismatches(
                 inst, flaw_profiles(inst, addressed_only), addressed_only) == []
@@ -395,8 +409,8 @@ def test_profiles_and_arc_bound_match_the_oracles(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_mixed_rows_and_potentials_equal_the_row_views(seed):
-    inst = gen_random(12, 3, seed=seed, p=(0.0, 0.15, 0.5, 1.0)[seed % 4],
-                      noise=("random", "uniform", "greedy", "point")[seed % 4])
+    inst = _gen_random(12, 3, seed, (0.0, 0.15, 0.5, 1.0)[seed % 4],
+                       ("random", "uniform", "greedy", "point")[seed % 4])
     states, indptr, targets, probs = mixed_flawed(inst)
     best = [math.inf] * inst.m
     for k, s in enumerate(states.tolist()):
@@ -425,4 +439,4 @@ def test_potential_of_a_unit_mixed_row_keeps_its_sign():
         n_states=2, flaws=[{0}], priority=[0],
         principal={0: [(0, 1.0)], 1: [(1, 1.0)]},
         noise={0: [(0, 1.0)], 1: [(1, 1.0)]}, p=0.0, initial=0)
-    assert repr(potential(inst, 0)) == repr(Distribution.unit(0).entropy())
+    assert repr(flaw_profiles(inst)[0].potential) == repr(Distribution.unit(0).entropy())

@@ -7,6 +7,7 @@ every name it lists must resolve to a callable here, and the spans it
 reads off a traced run must keep their meaning.
 """
 
+import contextlib
 import importlib
 import json
 import pathlib
@@ -25,6 +26,32 @@ def spans():
     exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"),
          module.__dict__)
     return module
+
+
+@contextlib.contextmanager
+def _installed(spans, full):
+    """A Tracer installed for the duration; install() rebinds names across
+    the package, and every one is put back afterwards."""
+    modules = {name: dict(vars(module)) for name, module in sys.modules.items()
+               if name == "flawchain" or name.startswith("flawchain.")}
+    members = []
+    for name in spans.span_names():
+        layer, *cls, attr = name.split(".")
+        if cls:
+            owner = getattr(sys.modules[f"flawchain.{layer}"], cls[0])
+            members.append((owner, attr, vars(owner)[attr]))
+    tracer = spans.Tracer()
+    tracer.install(full=full)
+    try:
+        yield tracer
+    finally:
+        for name, before in modules.items():
+            module = sys.modules[name]
+            for key, value in before.items():
+                if vars(module)[key] is not value:
+                    setattr(module, key, value)
+        for owner, attr, value in members:
+            setattr(owner, attr, value)
 
 
 def _resolve(name):
@@ -52,7 +79,6 @@ def test_counted_hooked_and_scoped_names_are_spanned(spans):
             importlib.import_module(module)
 
 
-
 def test_a_traced_tree_builds_once_and_makes_no_leaf(spans, monkeypatch,
                                                       tmp_path, star9_noisy):
     from flawchain import exact
@@ -63,29 +89,10 @@ def test_a_traced_tree_builds_once_and_makes_no_leaf(spans, monkeypatch,
     leaf = exact.Leaf
     monkeypatch.setattr(exact, "Leaf",
                         lambda *args, **kwargs: built.append(1) or leaf(*args, **kwargs))
-    # install() rebinds names across the package: put every one back
-    modules = {name: dict(vars(module)) for name, module in sys.modules.items()
-               if name == "flawchain" or name.startswith("flawchain.")}
-    members = []
-    for name in spans.span_names():
-        layer, *cls, attr = name.split(".")
-        if cls:
-            owner = getattr(sys.modules[f"flawchain.{layer}"], cls[0])
-            members.append((owner, attr, vars(owner)[attr]))
-    tracer = spans.Tracer()
-    tracer.install(full=True)
-    try:
+    with _installed(spans, full=True) as tracer:
         rc = sys.modules["flawchain.cli"].main(
             ["tree", str(path), "--x", "8", "--no-leaves",
              "--out", str(tmp_path / "tree.json")])
-    finally:
-        for name, before in modules.items():
-            module = sys.modules[name]
-            for key, value in before.items():
-                if vars(module)[key] is not value:
-                    setattr(module, key, value)
-        for owner, attr, value in members:
-            setattr(owner, attr, value)
     assert rc == 0
     doc = json.loads((tmp_path / "tree.json").read_text())
     metrics = spans.layer_metrics([tracer.record()])
@@ -94,3 +101,17 @@ def test_a_traced_tree_builds_once_and_makes_no_leaf(spans, monkeypatch,
     assert metrics["exact.leaves"] == doc["n_leaves"] == 865
     assert metrics["exact.errors"] == 0
     assert built == []
+
+
+def test_certify_keeps_the_identity_call_counts(spans, tmp_path, star9_noisy):
+    # bench/run.py --compare refuses runs whose identity counters differ,
+    # so folding the three lambda = 1 evaluations into one would make every
+    # earlier run incomparable
+    from flawchain.fileio import save
+    path = tmp_path / "star.json"
+    save(star9_noisy, path)
+    with _installed(spans, full=False) as tracer:
+        rc = sys.modules["flawchain.cli"].main(
+            ["certify", str(path), "--out", str(tmp_path / "cert.json")])
+    assert rc == 0
+    assert tracer.calls == {"certifier.condition_report": 24, "fileio.dumps": 1}

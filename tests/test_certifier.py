@@ -3,12 +3,11 @@ import math
 
 import pytest
 
-from flawchain import (Certificate, ModelError, SetFunctions, amenability_check,
-                       attach_noise, binary_entropy, build_certificate, certify,
-                       condition_report, flaw_profiles, gen_random,
-                       gen_uniform_singletons, inequality_audit, lambda_search,
-                       NoiseModel, q_of_p, uniform_noiseless_check,
-                       validate_instance)
+from flawchain import (Certificate, ModelError, NoiseModel, attach_noise,
+                       binary_entropy, build_certificate, certify,
+                       condition_report, flaw_profiles, gen_uniform_singletons,
+                       inequality_audit, lambda_search, q_of_p,
+                       uniform_noiseless_check, validate_instance)
 
 LAMBDA_TOL = 1e-6
 
@@ -30,7 +29,7 @@ def _feedback_pair():
 
 
 def test_star_condition_at_lambda_one(star9):
-    report = amenability_check(flaw_profiles(star9), 0.0)
+    report = condition_report(flaw_profiles(star9), 0.0, 1.0)
     assert report.ok
     assert report.threshold == 0.25
     assert report.totals() == (0.125,)          # 2^-3 exactly
@@ -38,7 +37,7 @@ def test_star_condition_at_lambda_one(star9):
 
 
 def test_noisy_star_condition_frozen(star9_noisy):
-    report = amenability_check(flaw_profiles(star9_noisy), 0.2)
+    report = condition_report(flaw_profiles(star9_noisy), 0.2, 1.0)
     assert report.ok
     # threshold 2^-(2 + h(0.2)); the single sum is 2^-(potential - q)
     assert report.threshold == pytest.approx(0.25 * 2.0 ** -binary_entropy(0.2))
@@ -48,7 +47,7 @@ def test_noisy_star_condition_frozen(star9_noisy):
 
 
 def test_feedback_pair_fails():
-    report = amenability_check(flaw_profiles(_feedback_pair()), 0.0)
+    report = condition_report(flaw_profiles(_feedback_pair()), 0.0, 1.0)
     assert not report.ok
     assert report.totals() == (1.0, 1.0)
     assert report.slack == pytest.approx(0.25 - 1.0)
@@ -63,7 +62,7 @@ def test_unaddressed_flaws_contribute_nothing():
         noise=_selfloops(4), p=0.0, initial=1)
     profiles = flaw_profiles(inst)
     assert profiles[1].potential == math.inf
-    report = amenability_check(profiles, 0.0)
+    report = condition_report(profiles, 0.0, 1.0)
     # flaw 1's infinite amenability adds zero mass to every sum
     assert report.totals()[1] == 0.0
     for total in report.totals():
@@ -168,46 +167,22 @@ def test_requested_lambda_is_used(star9):
     assert cert.x0 > loose.x0   # here the blowup dominates
 
 
-# ------------------------------------------------------------ set functions
-
-
-def test_set_functions_additivity(star9_noisy):
-    profiles = flaw_profiles(star9_noisy)
-    lam, _ = lambda_search(profiles, 0.2)
-    fns = SetFunctions(profiles=tuple(profiles), p=0.2, lam=lam)
-    assert fns.info(set()) == 0.0
-    assert fns.charge({0}) == pytest.approx(0.1, abs=1e-12)
-    assert fns.info({0}) == pytest.approx((1 - 0.2) * profiles[0].b_pr)
-    assert fns.offset({0}) == pytest.approx(
-        (0.2 * (2 + binary_entropy(0.2)) + 0.1) / lam, abs=1e-9)
-    assert fns.discounted_potential({0}) > 0
-
-
-def test_set_functions_additive_over_disjoint_sets():
-    inst = gen_random(48, 6, seed=3, p=0.1)
-    profiles = flaw_profiles(inst)
-    fns = SetFunctions(profiles=tuple(profiles), p=0.1, lam=0.9)
-    all_flaws = list(range(inst.m))
-    for k in range(1, 4):
-        for combo in itertools.combinations(all_flaws, k):
-            rest = [i for i in all_flaws if i not in combo]
-            for name in ("info_principal", "info_noise", "info", "charge",
-                         "potential_sum"):
-                f = getattr(fns, name)
-                whole = f(all_flaws)
-                if math.isinf(whole):
-                    continue
-                assert whole == pytest.approx(f(combo) + f(rest), abs=1e-9)
+# ------------------------------------------------------ discounted potentials
 
 
 def test_discounted_potential_nonnegative_when_certified(star9, star9_noisy):
+    # potential(S) - (p * (2 + h(p)) * |S| + q(S)) / lambda over flaw subsets
     for inst in (star9, star9_noisy):
         profiles = flaw_profiles(inst)
         lam, _ = lambda_search(profiles, inst.p)
-        fns = SetFunctions(profiles=tuple(profiles), p=inst.p, lam=lam)
+        rate = inst.p * (2.0 + binary_entropy(inst.p))
         for k in range(1, inst.m + 1):
-            for combo in itertools.combinations(range(inst.m), k):
-                assert fns.discounted_potential(combo) >= -1e-9
+            for combo in itertools.combinations(profiles, k):
+                offset = (rate * k + sum(pf.q for pf in combo)) / lam
+                assert sum(pf.potential for pf in combo) - offset >= -1e-9
+        audit = inequality_audit(deltas=(), noise_bits=(),
+                                 certified=[(profiles, lam, inst.p)])
+        assert audit.ok and audit.checked == inst.m
 
 
 # ----------------------------------------------------------------- audits

@@ -109,6 +109,30 @@ def test_gen_coloring_and_ksat(tmp_path, capsys):
     assert load(kpath).flaw_names == ("c1", "c2")
 
 
+@pytest.mark.parametrize("edge", ["0-1-2", "0-x"])
+def test_gen_coloring_names_a_malformed_edge(tmp_path, capsys, edge):
+    out = tmp_path / "c.json"
+    rc, stdout, err = cli(capsys, "gen", "coloring", "--edges", f"0-1,{edge}",
+                          "--q", "2", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == (f"flawchain gen: bad edge {edge!r} in --edges: expected U-V "
+                   f"with integer vertices U and V\n")
+    assert not out.exists()
+
+
+def test_gen_refuses_more_states_than_the_explicit_cap(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("FLAWCHAIN_EXPLICIT_CAP", "8")
+    out = tmp_path / "big.json"
+    seeded = ["--states", "9", "--flaws", "2", "--seed", "1"]
+    for family in (["star", "--k", "8"], ["random", *seeded], ["uniform", *seeded]):
+        rc, stdout, err = cli(capsys, "gen", *family, "--out", str(out))
+        assert (rc, stdout) == (2, ""), family
+        assert err == ("flawchain gen: 9 states exceed the explicit cap 8 "
+                       "(FLAWCHAIN_EXPLICIT_CAP)\n")
+        assert not out.exists()
+
+
 def test_gen_uniform_family(tmp_path, capsys):
     out = str(tmp_path / "u.json")
     rc, _, _ = cli(capsys, "gen", "uniform", "--states", "24", "--flaws", "4",

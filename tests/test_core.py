@@ -3,9 +3,9 @@ import math
 import pytest
 
 from flawchain import (Distribution, ImplicitInstance, ModelError, ModelWarning,
-                       arc_bound, binary_entropy, instance_violations,
-                       mixed_row, require_explicit, shannon_entropy,
-                       validate_instance)
+                       arc_bound, binary_entropy, require_explicit,
+                       shannon_entropy, validate_instance)
+from flawchain.core import mixed_rows
 
 from oracles import addressed_at, mixed_support, present_at
 
@@ -54,7 +54,7 @@ def test_distribution_canonicalizes_support_order():
     assert d.states() == (0, 3, 7)
     assert d.probs() == (0.25, 0.5, 0.25)
     assert len(d) == 3
-    assert d.total() == pytest.approx(1.0)
+    assert sum(d.probs()) == pytest.approx(1.0)
 
 
 def test_distribution_rejects_bad_rows():
@@ -99,6 +99,12 @@ def _tiny_kernel(n):
     return {s: [(s, 1.0)] for s in range(n)}
 
 
+def _violations(**kwargs):
+    with pytest.raises(ModelError) as exc:
+        validate_instance(**kwargs)
+    return list(exc.value.violations)
+
+
 def test_validate_builds_canonical_instance():
     inst = validate_instance(
         n_states=3, flaws=[{0}], priority=[0],
@@ -118,7 +124,7 @@ def test_validate_builds_canonical_instance():
 
 def test_validate_collects_every_violation_at_once():
     with pytest.warns(ModelWarning):   # flaw 2 ends up empty after filtering
-        problems = instance_violations(
+        problems = _violations(
             n_states=3, flaws=[{0}, {5}], priority=[0, 0],
             principal={0: [(0, 0.7)], 1: [(1, 1.0)], 2: [(2, 1.0)]},
             noise=_tiny_kernel(3), p=1.5, initial=9)
@@ -140,15 +146,16 @@ def test_validate_pins_flawless_principal_rows():
 
 
 def test_validate_warns_on_empty_flaw():
-    with pytest.warns(ModelWarning, match="empty"):
+    with pytest.warns(ModelWarning, match="empty") as record:
         validate_instance(
             n_states=2, flaws=[{0}, set()], priority=[0, 1],
             principal={0: [(0, 0.5), (1, 0.5)], 1: [(1, 1.0)]},
             noise=_tiny_kernel(2), p=0.0, initial=0)
+    assert record[0].filename == __file__   # blamed on the caller
 
 
 def test_validate_checks_widths_product_and_names():
-    problems = instance_violations(
+    problems = _violations(
         n_states=6, flaws=[{0}, {1}], priority=[0, 1],
         principal={s: [(s, 0.5), ((s + 1) % 6, 0.5)] for s in range(2)}
         | {s: [(s, 1.0)] for s in range(2, 6)},
@@ -167,7 +174,7 @@ def test_validate_accepts_theta_initial_and_checks_it():
         noise=_tiny_kernel(2), p=0.0, initial=theta)
     assert inst.initial is theta
     bad = Distribution.from_pairs([(0, 0.5), (7, 0.5)])
-    problems = instance_violations(
+    problems = _violations(
         n_states=2, flaws=[{0}], priority=[0],
         principal={0: [(0, 0.5), (1, 0.5)], 1: [(1, 1.0)]},
         noise=_tiny_kernel(2), p=0.0, initial=bad)
@@ -175,7 +182,7 @@ def test_validate_accepts_theta_initial_and_checks_it():
 
 
 def test_validate_rejects_missing_rows_and_stray_targets():
-    problems = instance_violations(
+    problems = _violations(
         n_states=3, flaws=[{0}], priority=[0],
         principal={0: [(0, 0.5), (9, 0.5)], 2: [(2, 1.0)]},
         noise=_tiny_kernel(3), p=0.0, initial=0)
@@ -215,23 +222,28 @@ def test_addressing_follows_priority_not_index():
 # ---------------------------------------------------------------- mixing
 
 
+def _mixed(instance, state):
+    _, targets, probs = mixed_rows(instance, [state])
+    return tuple(zip(targets.tolist(), probs.tolist()))
+
+
 def test_mixed_row_degenerate_mixes_short_circuit(star9):
-    assert mixed_row(star9, 0) is star9.principal_row(0)
+    assert _mixed(star9, 0) == star9.principal_row(0).support
     noisy = validate_instance(
         n_states=2, flaws=[{0}], priority=[0],
         principal={0: [(0, 0.5), (1, 0.5)], 1: [(1, 1.0)]},
         noise={0: [(1, 1.0)], 1: [(0, 1.0)]}, p=1.0, initial=0)
-    assert mixed_row(noisy, 0) is noisy.noise_row(0)
+    assert _mixed(noisy, 0) == noisy.noise_row(0).support
 
 
 def test_mixed_row_blends_supports(star9_noisy):
-    row = mixed_row(star9_noisy, 0)
-    assert row.states() == tuple(range(9))
-    assert row.probs()[0] == pytest.approx(0.2)      # noise holds the hub
-    for pr in row.probs()[1:]:
+    row = _mixed(star9_noisy, 0)
+    assert [s for s, _ in row] == list(range(9))
+    assert row[0][1] == pytest.approx(0.2)           # noise holds the hub
+    for _, pr in row[1:]:
         assert pr == pytest.approx(0.1)              # 0.8 / 8 per spoke
-    assert row.total() == pytest.approx(1.0)
-    assert dict(row.support) == pytest.approx(mixed_support(star9_noisy, 0))
+    assert sum(pr for _, pr in row) == pytest.approx(1.0)
+    assert dict(row) == pytest.approx(mixed_support(star9_noisy, 0))
 
 
 def test_mixed_row_union_of_supports_when_strictly_mixed():
@@ -242,9 +254,9 @@ def test_mixed_row_union_of_supports_when_strictly_mixed():
         noise={0: [(0, 0.5), (3, 0.5)], 1: [(1, 1.0)], 2: [(2, 1.0)],
                3: [(3, 1.0)]},
         p=0.3, initial=0)
-    row = mixed_row(inst, 0)
-    assert row.states() == (0, 1, 2, 3)
-    assert dict(row.support) == pytest.approx(
+    row = _mixed(inst, 0)
+    assert [s for s, _ in row] == [0, 1, 2, 3]
+    assert dict(row) == pytest.approx(
         {0: 0.15, 1: 0.35, 2: 0.35, 3: 0.15})
 
 

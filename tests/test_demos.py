@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 # each script must land its punchline
 EXPECT = {
@@ -27,3 +29,15 @@ def test_demo_runs_clean(script):
 
 def test_every_demo_is_covered():
     assert sorted(EXPECT) == [d.name for d in DEMOS]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # a public name removed from the package must not leave README stale
+    section = README.read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    lam_star, steps, mean_hit, bad = map(float, capsys.readouterr().out.split())
+    assert lam_star == pytest.approx(0.9039, abs=1e-4)
+    assert steps > 0
+    assert mean_hit == pytest.approx(1.25, abs=0.05)
+    assert bad == pytest.approx(0.04)

@@ -21,10 +21,6 @@ def test_bits_text_roundtrip():
         Bits.from01("10x1")
 
 
-def test_bits_concatenate():
-    assert (Bits.from01("10") + Bits.from01("01")).to01() == "1001"
-
-
 def test_bits_byte_roundtrip_random():
     rng = np.random.default_rng(4)
     for _ in range(50):

@@ -6,6 +6,8 @@ from flawchain import (ExplicitInstance, ImplicitInstance, ModelError,
                        gen_uniform_singletons, global_principal_bits, run)
 from flawchain.fileio import dumps
 
+CAP_MESSAGE = r"^{} states exceed the explicit cap {} \(FLAWCHAIN_EXPLICIT_CAP\)$"
+
 
 # ------------------------------------------------------------------- star
 
@@ -92,14 +94,27 @@ def test_coloring_validations():
         gen_coloring([(0, 1)], 1)
 
 
-def test_coloring_cap_behavior():
+def test_coloring_cap_behavior(monkeypatch):
     edges = [(0, 1), (1, 2)]
-    with pytest.raises(ModelError, match="exceed"):
-        gen_coloring(edges, 3, explicit=True, cap=10)
-    imp = gen_coloring(edges, 3, cap=10)
+    monkeypatch.setenv("FLAWCHAIN_EXPLICIT_CAP", "10")
+    with pytest.raises(ModelError, match=CAP_MESSAGE.format(27, 10)):
+        gen_coloring(edges, 3, explicit=True)
+    imp = gen_coloring(edges, 3)
     assert isinstance(imp, ImplicitInstance)
-    exp = gen_coloring(edges, 3, cap=100)
+    monkeypatch.setenv("FLAWCHAIN_EXPLICIT_CAP", "100")
+    exp = gen_coloring(edges, 3)
     assert isinstance(exp, ExplicitInstance)
+
+
+def test_explicit_only_families_refuse_above_the_cap(monkeypatch):
+    monkeypatch.setenv("FLAWCHAIN_EXPLICIT_CAP", "8")
+    for build in (lambda: gen_star(8), lambda: gen_random(9, 2, seed=0),
+                  lambda: gen_uniform_singletons(9, 2, seed=0),
+                  lambda: gen_ksat(4, [(1, 2)], explicit=True)):
+        with pytest.raises(ModelError, match=CAP_MESSAGE.format(r"\d+", 8)):
+            build()
+    assert gen_star(7).n_states == 8
+    assert gen_random(8, 2, seed=0).n_states == 8
 
 
 def test_triangle_shape(triangle3):
@@ -197,16 +212,16 @@ def test_gen_random_rejects_tiny_requests():
 
 
 def test_gen_random_named_noise_kinds():
-    pt = gen_random(10, 2, seed=3, p=0.1, noise="point")
+    base = gen_random(10, 2, seed=3, p=0.1)
+    pt = attach_noise(base, NoiseModel.point(0), 0.1)
     assert all(pt.noise[s].support == ((0, 1.0),) for s in range(10))
-    loop = gen_random(10, 2, seed=3, p=0.1, noise="selfloop")
+    loop = attach_noise(base, NoiseModel.selfloop(), 0.1)
     assert all(loop.noise[s].is_unit_self_loop(s) for s in range(10))
-    uni = gen_random(10, 2, seed=3, p=0.1, noise="uniform")
+    uni = attach_noise(base, NoiseModel.uniform(), 0.1)
     assert uni.noise[4].support == tuple((t, 0.1) for t in range(10))
-    greedy = gen_random(10, 2, seed=3, p=0.1, noise="greedy")
+    greedy = attach_noise(base, NoiseModel.greedy_adversarial(), 0.1)
     assert all(len(greedy.noise[s].support) == 1 for s in range(10))
-    with pytest.raises(ModelError, match="unknown noise name"):
-        gen_random(10, 2, seed=3, p=0.1, noise="blah")
+    assert all(inst.principal is base.principal for inst in (pt, loop, uni, greedy))
 
 
 # -------------------------------------------------------------- singletons

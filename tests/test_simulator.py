@@ -13,6 +13,16 @@ from flawchain.simulator import (_sample_rows, _stacked_rows, philox_uniforms,
 from oracles import star_mean_hit, star_tail
 
 
+# gen_random's own random noise rows, then three NoiseModel kernels
+MODELS = (None, NoiseModel.uniform(), NoiseModel.greedy_adversarial(),
+          NoiseModel.point(0))
+
+
+def _random_instance(n, m, seed, p, model):
+    inst = gen_random(n, m, seed=seed, p=p)
+    return inst if model is None else attach_noise(inst, model, p)
+
+
 def _theta_star(star9):
     """The star with mass split between the hub and a spoke at start."""
     theta = Distribution.from_pairs([(0, 0.5), (3, 0.5)])
@@ -75,16 +85,6 @@ def test_run_replays_identically(star9_noisy):
 def test_run_rejects_zero_budget(star9):
     with pytest.raises(ValueError):
         run(star9, seed=1, max_steps=0)
-
-
-def test_continue_after_keeps_stepping(star9):
-    traj = run(star9, seed=9, max_steps=10, continue_after=True)
-    assert traj.n_steps == 10
-    assert traj.hit_step == 1
-    assert traj.z == 1
-    spoke = traj.states[1]
-    assert all(s == spoke for s in traj.states[1:])   # flawless self-loop
-    assert traj.flaws[1:] == (None,) * 9
 
 
 def test_censored_run_is_all_flawed(star9_noisy):
@@ -182,8 +182,8 @@ def test_batched_hits_equal_scalar_runs(star9, star9_noisy):
         principal=star9.principal, noise=star9.noise, p=0.0, initial=3)
     assert set(_assert_batched_hits_replay(flawless, 10, 10, 5).hits) == {0}
     for seed in range(10):
-        inst = gen_random(15, 3, seed=seed, p=(0.0, 0.3, 0.6)[seed % 3],
-                          noise=("random", "uniform", "greedy")[seed % 3])
+        inst = _random_instance(15, 3, seed, (0.0, 0.3, 0.6)[seed % 3],
+                                MODELS[seed % 3])
         _assert_batched_hits_replay(inst, 60, seed, (3, 40)[seed % 2])
 
 
@@ -259,8 +259,7 @@ def test_refills_double_their_width_up_to_the_cap(star9, monkeypatch):
 
 def test_running_sums_equal_sample_accumulation(star9, star9_noisy, triangle3, path2):
     instances = [star9, star9_noisy, triangle3, path2, _theta_star(star9)]
-    instances += [gen_random(12, 3, seed=seed, p=0.4,
-                             noise=("random", "uniform", "greedy", "point")[seed % 4])
+    instances += [_random_instance(12, 3, seed, 0.4, MODELS[seed % 4])
                   for seed in range(20)]
     for inst in instances:
         indptr, targets, sums = _stacked_rows(inst)
